@@ -90,6 +90,7 @@ int main() {
         options.k = 10;
         options.group_threshold = grouped;
         options.scoring.damping_base = damping;
+        options.fallback_to_complete = false;  // the star join's own reads
         xtopk::TopKSearch search(topk_index, options);
         search.Search(query);
         reads[idx++] = search.stats().entries_read;

@@ -76,12 +76,14 @@ int main(int argc, char** argv) {
       xtopk::Timer timer;
       auto results = search.Search(query);
       double ms = timer.ElapsedMillis();
-      char work[128];
+      char work[160];
       std::snprintf(work, sizeof(work),
-                    "entries_read=%llu early=%llu columns=%u",
+                    "entries_read=%llu early=%llu columns=%u strategy=%s",
                     (unsigned long long)search.stats().entries_read,
                     (unsigned long long)search.stats().early_emissions,
-                    search.stats().columns_processed);
+                    search.stats().columns_processed,
+                    search.stats().fell_back ? "complete_fallback"
+                                             : "star_join");
       PrintResults("join-based top-K", results, corpus.tree, ms, work);
     }
     {

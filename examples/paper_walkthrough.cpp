@@ -12,6 +12,7 @@
 #include "core/join_search.h"
 #include "core/topk_search.h"
 #include "index/index_builder.h"
+#include "xml/dewey.h"
 #include "xml/jdewey.h"
 #include "xml/xml_parser.h"
 
@@ -24,7 +25,7 @@ void DumpEncoding(const XmlTree& tree, const IndexBuilder& builder) {
   std::printf("   (JDewey: the pair (level, number) alone identifies a"
               " node)\n\n");
   const JDeweyEncoding& enc = builder.jdewey_encoding();
-  const std::vector<DeweyId>& deweys = builder.dewey_ids();
+  const std::vector<DeweyId> deweys = AssignDeweyIds(tree);
   for (NodeId id = 0; id < tree.node_count(); ++id) {
     JDeweySeq seq = enc.SequenceOf(tree, id);
     std::printf("   %*s<%s>%s%s  dewey=%-10s jdewey=%s\n",
@@ -113,6 +114,9 @@ int main() {
   TopKIndex topk_index = builder.BuildTopKIndex(jindex);
   TopKSearchOptions topk_options;
   topk_options.k = 2;
+  // The paper's algorithm itself: on lists this short the default entry
+  // budget would hand the query straight to the complete join.
+  topk_options.fallback_to_complete = false;
   TopKSearch topk(topk_index, topk_options);
   auto top = topk.Search({"xml", "data"});
   for (const SearchResult& r : top) {

@@ -256,17 +256,6 @@ std::vector<QueryHit> Engine::SearchTopK(
   return RunQuery(query, nullptr).hits;
 }
 
-std::vector<QueryHit> Engine::SearchHybrid(
-    const std::vector<std::string>& keywords, size_t k,
-    Semantics semantics) const {
-  HybridOptions hybrid_options;
-  hybrid_options.semantics = semantics;
-  hybrid_options.k = k;
-  hybrid_options.scoring = options_.scoring;
-  HybridSearch search(topk_index_, hybrid_options);
-  return Materialize(search.Search(Normalize(keywords)));
-}
-
 std::vector<BatchQueryResult> Engine::RunBatch(
     const std::vector<BatchQuery>& queries, size_t threads,
     bool collect_traces) const {

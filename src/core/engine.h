@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/hybrid.h"
 #include "core/join_search.h"
 #include "core/search_result.h"
 #include "core/topk_search.h"
@@ -115,16 +114,12 @@ class Engine {
   std::vector<QueryHit> Search(const std::vector<std::string>& keywords,
                                Semantics semantics = Semantics::kElca) const;
 
-  /// Top-k results (join-based top-K algorithm, §IV).
+  /// Top-k results: the join-based top-K algorithm (§IV) under its entry
+  /// budget, giving way to the complete join plus a partial sort when the
+  /// keywords are too weakly correlated to prove k results cheaply.
   std::vector<QueryHit> SearchTopK(const std::vector<std::string>& keywords,
                                    size_t k,
                                    Semantics semantics = Semantics::kElca) const;
-
-  /// Top-k through the hybrid planner (§V-D): picks the top-K join or the
-  /// complete join by estimated cardinality.
-  std::vector<QueryHit> SearchHybrid(const std::vector<std::string>& keywords,
-                                     size_t k,
-                                     Semantics semantics = Semantics::kElca) const;
 
   /// Executes independent queries concurrently against the shared
   /// read-only indexes on a fixed pool of up to `threads` workers

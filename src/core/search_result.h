@@ -28,13 +28,14 @@ struct SearchResult {
   }
 };
 
-/// Sorts by score descending, node ascending tie-break (deterministic).
+/// Score descending, node ascending tie-break (deterministic).
+inline bool ScoreDescLess(const SearchResult& a, const SearchResult& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.node < b.node;
+}
+
 inline void SortByScoreDesc(std::vector<SearchResult>* results) {
-  std::sort(results->begin(), results->end(),
-            [](const SearchResult& a, const SearchResult& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.node < b.node;
-            });
+  std::sort(results->begin(), results->end(), ScoreDescLess);
 }
 
 /// Sorts by node id (document order) for set comparison.

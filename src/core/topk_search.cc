@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 
 #include "core/dag_join.h"
 #include "core/join_ops.h"
 #include "core/join_planner.h"
+#include "core/join_search.h"
 #include "obs/accounting.h"
 #include "obs/metrics.h"
 
@@ -32,6 +34,7 @@ void FlushTopKStatsToRegistry(const TopKSearchStats& stats) {
   if (stats.deadline_expired) {
     XTOPK_COUNTER("core.topk.deadline_expirations").Add(1);
   }
+  if (stats.fell_back) XTOPK_COUNTER("core.topk.fallbacks").Add(1);
 }
 
 uint64_t NodeKey(uint32_t level, uint32_t value) {
@@ -226,27 +229,28 @@ std::vector<SearchResult> TopKSearch::Search(
   root.Stat("keywords", static_cast<double>(keywords.size()));
   root.Stat("k", static_cast<double>(options_.k));
   std::vector<SearchResult> emitted;
-  if (keywords.empty() || options_.k == 0) {
-    root.Label("termination", "empty_query");
+  auto finish = [&](const char* termination) {
+    root.Label("termination", termination);
     FlushTopKStatsToRegistry(stats_);
-    return emitted;
-  }
+    return std::move(emitted);
+  };
+  if (keywords.empty() || options_.k == 0) return finish("empty_query");
 
   // Deadline gate before any resolution work: a query that expired in an
   // admission queue must not touch the posting source at all.
   auto deadline_stop = [&](const char* where) {
     stats_.deadline_expired = true;
     last_status_ = Status::DeadlineExceeded(where);
-    root.Label("termination", "deadline");
-    FlushTopKStatsToRegistry(stats_);
+    return finish("deadline");
   };
   if (options_.deadline.expired()) {
-    deadline_stop("expired before list resolution");
-    return emitted;
+    return deadline_stop("expired before list resolution");
   }
 
   std::vector<const TopKList*> lists;
-  if (source_ != nullptr) {
+  if (keywords.size() > kMaxStarJoinSources) {
+    // Too wide for the star join's source mask: no score-ordered lists.
+  } else if (source_ != nullptr) {
     // Posting-source mode: materialize every term fully (score-ordered
     // access touches arbitrary rows, so bounded loads don't apply), then
     // derive the score-ordered segments per term. Two phases — a later
@@ -255,35 +259,24 @@ std::vector<SearchResult> TopKSearch::Search(
       // Resolve call site = deadline checkpoint: each materialization may
       // cost real I/O, so the budget is re-checked before every term.
       if (options_.deadline.expired()) {
-        deadline_stop("expired during list resolution");
-        return emitted;
+        return deadline_stop("expired during list resolution");
       }
-      if (source_->Frequency(kw) == 0) {
-        root.Label("termination", "missing_term");
-        FlushTopKStatsToRegistry(stats_);
-        return emitted;
-      }
+      if (source_->Frequency(kw) == 0) return finish("missing_term");
       auto list = source_->Resolve(kw, UINT32_MAX, true, nullptr);
       if (!list.ok() || *list == nullptr) {
         last_status_ = list.ok() ? Status::Ok() : list.status();
-        root.Label("termination",
-                   list.ok() ? "missing_term" : "resolve_error");
-        FlushTopKStatsToRegistry(stats_);
-        return emitted;
+        return finish(list.ok() ? "missing_term" : "resolve_error");
       }
     }
     query_lists_.reserve(keywords.size());
     for (const std::string& kw : keywords) {
       if (options_.deadline.expired()) {
-        deadline_stop("expired during list resolution");
-        return emitted;
+        return deadline_stop("expired during list resolution");
       }
       auto list = source_->Resolve(kw, UINT32_MAX, true, nullptr);
       if (!list.ok()) {
         last_status_ = list.status();
-        root.Label("termination", "resolve_error");
-        FlushTopKStatsToRegistry(stats_);
-        return emitted;
+        return finish("resolve_error");
       }
       query_lists_.push_back(BuildTopKListFor(**list));
     }
@@ -292,15 +285,83 @@ std::vector<SearchResult> TopKSearch::Search(
     for (const std::string& kw : keywords) {
       const TopKList* list = index_->GetList(kw);
       if (list == nullptr || list->base->num_rows() == 0) {
-        root.Label("termination", "missing_term");
-        FlushTopKStatsToRegistry(stats_);
-        return emitted;
+        return finish("missing_term");
       }
       lists.push_back(list);
     }
   }
+
+  bool proven = false;
+  if (!lists.empty()) {
+    uint64_t budget = UINT64_MAX;
+    if (options_.fallback_to_complete) {
+      uint64_t total_rows = 0;
+      for (const TopKList* list : lists) total_rows += list->base->num_rows();
+      budget = stats_.budget = total_rows / kStarJoinBudgetDivisor;
+      root.Stat("budget", static_cast<double>(budget));
+    }
+    proven = StarJoin(keywords, lists, budget, &emitted);
+  }
+  if (!proven) emitted = CompleteJoin(keywords, std::move(emitted));
+  if (root.enabled()) {
+    root.Label("strategy",
+               stats_.fell_back ? "complete_fallback" : "star_join");
+    root.Stat("entries_read", static_cast<double>(stats_.entries_read));
+    root.Stat("excluded_skips", static_cast<double>(stats_.excluded_skips));
+    root.Stat("candidates", static_cast<double>(stats_.candidates));
+    root.Stat("early_emissions",
+              static_cast<double>(stats_.early_emissions));
+    root.Stat("columns_processed",
+              static_cast<double>(stats_.columns_processed));
+    root.Stat("results", static_cast<double>(emitted.size()));
+  }
+  if (stats_.deadline_expired) return finish("deadline");
+  if (!last_status_.ok()) return finish("resolve_error");
+  if (stats_.fell_back) return finish("complete");
+  return finish(emitted.size() >= options_.k ? "k_reached"
+                                             : "columns_exhausted");
+}
+
+std::vector<SearchResult> TopKSearch::CompleteJoin(
+    const std::vector<std::string>& keywords,
+    std::vector<SearchResult> proven) {
+  stats_.fell_back = true;
+  JoinSearchOptions join_options;
+  join_options.semantics = options_.semantics;
+  join_options.scoring = options_.scoring;
+  join_options.use_planner = options_.use_planner;
+  join_options.plan_cache = options_.plan_cache;
+  join_options.deadline = options_.deadline;
+  join_options.trace = options_.trace;
+  std::optional<MemoryTermSource> memory;
+  TermSource* source =
+      source_ != nullptr ? source_ : &memory.emplace(*index_->base());
+  JoinSearch search(source, join_options);
+  std::vector<SearchResult> results = search.Search(keywords);
+  stats_.planned = search.stats().planned;
+  stats_.plan_cache_hit = search.stats().plan_cache_hit;
+  last_status_ = search.status();
+  if (search.stats().deadline_expired) {
+    // A partial complete set need not hold the true top k; what the star
+    // join proved before it gave way is still a correct prefix.
+    stats_.deadline_expired = true;
+    return proven;
+  }
+  if (!last_status_.ok()) return {};
+  const size_t n = std::min(options_.k, results.size());
+  std::partial_sort(results.begin(), results.begin() + n, results.end(),
+                    ScoreDescLess);
+  results.resize(n);
+  return results;
+}
+
+bool TopKSearch::StarJoin(const std::vector<std::string>& keywords,
+                          const std::vector<const TopKList*>& lists,
+                          uint64_t budget,
+                          std::vector<SearchResult>* emitted_out) {
+  std::vector<SearchResult>& emitted = *emitted_out;
   const size_t k_sources = lists.size();
-  assert(k_sources <= 31);
+  assert(k_sources <= kMaxStarJoinSources);  // Search routes wider queries
   const uint32_t full_mask = (1u << k_sources) - 1;
   auto node_at = [&](uint32_t level, uint32_t value) {
     return source_ != nullptr ? source_->NodeAt(level, value)
@@ -406,6 +467,9 @@ std::vector<SearchResult> TopKSearch::Search(
           "expired at column " + std::to_string(level));
       break;
     }
+    // Column boundary = budget checkpoint too (a complete-join sweep reads
+    // a level's matching runs in one go).
+    if (stats_.entries_read >= budget) return false;
     ++stats_.columns_processed;
     obs::ScopedSpan column_span(
         options_.trace, options_.trace != nullptr
@@ -613,6 +677,12 @@ std::vector<SearchResult> TopKSearch::Search(
         }
       }
       if (chosen == k_sources) break;  // column exhausted
+      if (stats_.entries_read >= budget) {
+        // Out of budget: the attempt is dropped, not extended — the
+        // complete route recomputes every result.
+        close_column_span("star_join", threshold.Bound());
+        return false;
+      }
 
       ColumnCursor::Entry entry = *cursors[chosen].Peek();
       cursors[chosen].Pop();
@@ -682,22 +752,7 @@ std::vector<SearchResult> TopKSearch::Search(
   // All columns processed: everything left is safe. On deadline expiry the
   // remaining pending candidates were never proven — they stay unemitted.
   if (!stats_.deadline_expired) emit_ready(StarThreshold::kExhausted);
-  if (root.enabled()) {
-    root.Stat("entries_read", static_cast<double>(stats_.entries_read));
-    root.Stat("excluded_skips", static_cast<double>(stats_.excluded_skips));
-    root.Stat("candidates", static_cast<double>(stats_.candidates));
-    root.Stat("early_emissions",
-              static_cast<double>(stats_.early_emissions));
-    root.Stat("columns_processed",
-              static_cast<double>(stats_.columns_processed));
-    root.Stat("results", static_cast<double>(emitted.size()));
-    root.Label("termination", stats_.deadline_expired ? "deadline"
-                              : emitted.size() >= options_.k
-                                  ? "k_reached"
-                                  : "columns_exhausted");
-  }
-  FlushTopKStatsToRegistry(stats_);
-  return emitted;
+  return true;
 }
 
 }  // namespace xtopk

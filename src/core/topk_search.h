@@ -57,6 +57,14 @@ struct TopKSearchOptions {
   /// with entries-read/threshold/emission stats). Null disables tracing at
   /// zero cost.
   obs::QueryTrace* trace = nullptr;
+  /// Budgeted strategy (DESIGN.md §18): the star join may read at most
+  /// Σ|L_i| / kStarJoinBudgetDivisor entries. When the budget runs out
+  /// before k results are proven, the attempt is dropped and the query is
+  /// answered by the complete join on the same lists plus a k-bounded
+  /// partial sort. false keeps the unbounded star join (the paper's
+  /// algorithm as Fig. 10 and ablation A2 measure it). Queries of more than
+  /// kMaxStarJoinSources keywords take the complete route either way.
+  bool fallback_to_complete = true;
 };
 
 struct TopKSearchStats {
@@ -75,11 +83,27 @@ struct TopKSearchStats {
   /// The deadline expired mid-query: the result set is a (possibly empty)
   /// prefix of the true top-K (status() is kDeadlineExceeded).
   bool deadline_expired = false;
+  /// Star-join entry budget of the last query (0 when unbounded).
+  uint64_t budget = 0;
+  /// The last query was answered by the complete route: its star join ran
+  /// out of budget or was ineligible. The star-join counters above keep
+  /// what the dropped attempt did; planned/plan_cache_hit describe the
+  /// complete join.
+  bool fell_back = false;
+
+  bool operator==(const TopKSearchStats&) const = default;
 };
 
 /// Star-join entries consumed between two deadline checks (block boundary
 /// granularity: one clock read per stride, never per entry).
 inline constexpr uint64_t kDeadlineCheckStride = 256;
+
+/// The star join's entry budget is Σ|L_i| / kStarJoinBudgetDivisor.
+inline constexpr uint64_t kStarJoinBudgetDivisor = 200;
+
+/// Widest query the star join takes: it tracks partial completions in a
+/// 32-bit source mask. Wider queries take the complete route.
+inline constexpr size_t kMaxStarJoinSources = 31;
 
 /// The join-based top-K keyword search (paper §IV-C): inverted lists are
 /// served score-descending per column (length-grouped segments merged on
@@ -87,6 +111,8 @@ inline constexpr uint64_t kDeadlineCheckStride = 256;
 /// pruning excludes occurrences consumed by deeper results, and a result is
 /// released as soon as its score dominates both the current column's
 /// star-join bound and the static upper bounds of all higher columns.
+/// Under the default budget a star join that cannot prove k results cheaply
+/// gives way to the complete join (see fallback_to_complete).
 class TopKSearch {
  public:
   /// Over a prebuilt score-ordered index (the engine's steady-state path —
@@ -100,7 +126,9 @@ class TopKSearch {
   explicit TopKSearch(TermSource* source, TopKSearchOptions options = {});
 
   /// Returns up to `options.k` results in descending score order. An I/O
-  /// failure inside the source yields an empty set — check status().
+  /// failure inside the source yields an empty set — check status(). On
+  /// deadline expiry the result is the star join's proven prefix (possibly
+  /// empty), never the top k of a partial complete set.
   std::vector<SearchResult> Search(const std::vector<std::string>& keywords);
 
   /// Status of the last Search call's list resolution.
@@ -109,6 +137,19 @@ class TopKSearch {
   const TopKSearchStats& stats() const { return stats_; }
 
  private:
+  /// The star join over `lists`, column by column, appending proven results
+  /// to `emitted`. Returns false when the entry budget ran out first.
+  bool StarJoin(const std::vector<std::string>& keywords,
+                const std::vector<const TopKList*>& lists, uint64_t budget,
+                std::vector<SearchResult>* emitted);
+
+  /// The complete route: JoinSearch over the same posting source, then the
+  /// k best in SortByScoreDesc order. `proven` is what the star join had
+  /// proven; it is the answer if the deadline expires here.
+  std::vector<SearchResult> CompleteJoin(
+      const std::vector<std::string>& keywords,
+      std::vector<SearchResult> proven);
+
   const TopKIndex* index_ = nullptr;  // prebuilt-index mode
   TermSource* source_ = nullptr;      // posting-source mode
   TopKSearchOptions options_;

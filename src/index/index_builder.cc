@@ -13,17 +13,19 @@ namespace xtopk {
 IndexBuilder::IndexBuilder(const XmlTree& tree, IndexBuildOptions options)
     : tree_(tree), options_(options) {
   jdewey_ = JDeweyBuilder::Assign(tree_, options_.jdewey_gap);
-  deweys_ = AssignDeweyIds(tree_);
 
   // Document-order (preorder) rank per node; sibling links give the order.
-  doc_rank_.assign(tree_.node_count(), 0);
+  // Creation order need not be document order (nodes can be appended under
+  // any parent), but document order, Dewey order, and fresh-JDewey-sequence
+  // order all coincide, so one rank sorts every index's rows.
+  std::vector<uint32_t> doc_rank(tree_.node_count(), 0);
   if (!tree_.empty()) {
     uint32_t rank = 0;
     std::vector<NodeId> stack = {tree_.root()};
     while (!stack.empty()) {
       NodeId u = stack.back();
       stack.pop_back();
-      doc_rank_[u] = rank++;
+      doc_rank[u] = rank++;
       // Push children in reverse sibling order so the first child pops
       // first.
       std::vector<NodeId> kids;
@@ -57,12 +59,16 @@ IndexBuilder::IndexBuilder(const XmlTree& tree, IndexBuildOptions options)
     }
     for (const auto& [term, tf] : tf_map) add_occurrence(term, id, tf);
   }
-  // Rows of every index family are stored in document order.
+  // Rows of every index family are stored in document order. The builder
+  // keeps the postings as long as its owner (an Engine: its lifetime), so
+  // they drop their growth slack here.
+  occurrences_.shrink_to_fit();
   for (auto& occs : occurrences_) {
     std::sort(occs.begin(), occs.end(),
               [&](const Occurrence& a, const Occurrence& b) {
-                return doc_rank_[a.node] < doc_rank_[b.node];
+                return doc_rank[a.node] < doc_rank[b.node];
               });
+    occs.shrink_to_fit();
   }
 
   // Pass 2: convert tf to normalized tf·idf local scores.
@@ -111,25 +117,18 @@ JDeweyIndex IndexBuilder::BuildJDeweyIndex() const {
     const auto& occs = occurrences_[t];
     JDeweyList& list = index.lists_[t];
     uint32_t rows = static_cast<uint32_t>(occs.size());
-    list.lengths.resize(rows);
     list.scores.resize(rows);
     list.nodes.resize(rows);
+    for (uint32_t row = 0; row < rows; ++row) {
+      list.scores[row] = occs[row].score;
+      list.nodes[row] = occs[row].node;
+    }
     // Occurrences are in document order, which for a freshly built JDewey
     // encoding equals JDewey-sequence order.
-    for (uint32_t row = 0; row < rows; ++row) {
-      NodeId node = occs[row].node;
-      assert(row == 0 || doc_rank_[occs[row - 1].node] < doc_rank_[node]);
-      JDeweySeq seq = jdewey_.SequenceOf(tree_, node);
-      uint16_t len = static_cast<uint16_t>(seq.size());
-      list.lengths[row] = len;
-      list.scores[row] = occs[row].score;
-      list.nodes[row] = node;
-      if (len > list.max_length) list.max_length = len;
-      if (list.columns.size() < len) list.columns.resize(len);
-      for (uint16_t level = 1; level <= len; ++level) {
-        list.columns[level - 1].Append(row, seq[level - 1]);
-      }
-    }
+    FillColumns(
+        rows,
+        [&](uint32_t row) { return jdewey_.SequenceOf(tree_, occs[row].node); },
+        &list);
     if (options_.stats_buckets > 0) {
       index.stats_[t] = ComputeListStats(list, options_.stats_buckets);
     }
@@ -137,6 +136,13 @@ JDeweyIndex IndexBuilder::BuildJDeweyIndex() const {
 
   // Reverse (level, value) -> node mapping over all tree nodes.
   index.level_nodes_.resize(tree_.max_level());
+  std::vector<size_t> per_level(tree_.max_level(), 0);
+  for (NodeId id = 0; id < tree_.node_count(); ++id) {
+    ++per_level[tree_.level(id) - 1];
+  }
+  for (size_t l = 0; l < per_level.size(); ++l) {
+    index.level_nodes_[l].reserve(per_level[l]);
+  }
   for (NodeId id = 0; id < tree_.node_count(); ++id) {
     index.level_nodes_[tree_.level(id) - 1].emplace_back(
         jdewey_.NumberOf(id), id);
@@ -168,6 +174,8 @@ JDeweyIndex IndexBuilder::BuildJDeweyIndex() const {
 }
 
 DeweyIndex IndexBuilder::BuildDeweyIndex() const {
+  // Dewey ids are computed here, their only reader, not held by the builder.
+  const std::vector<DeweyId> deweys = AssignDeweyIds(tree_);
   DeweyIndex index;
   index.term_ids_ = term_ids_;
   index.lists_.resize(occurrences_.size());
@@ -179,7 +187,7 @@ DeweyIndex IndexBuilder::BuildDeweyIndex() const {
     list.nodes.reserve(occs.size());
     // NodeId order is document order, which is Dewey order.
     for (const Occurrence& occ : occs) {
-      list.deweys.push_back(deweys_[occ.node]);
+      list.deweys.push_back(deweys[occ.node]);
       list.scores.push_back(occ.score);
       list.nodes.push_back(occ.node);
     }

@@ -92,7 +92,6 @@ class IndexBuilder {
   const std::vector<TermInfo>& terms() const { return term_infos_; }
 
   const JDeweyEncoding& jdewey_encoding() const { return jdewey_; }
-  const std::vector<DeweyId>& dewey_ids() const { return deweys_; }
   const XmlTree& tree() const { return tree_; }
 
  private:
@@ -104,12 +103,6 @@ class IndexBuilder {
   const XmlTree& tree_;
   IndexBuildOptions options_;
   JDeweyEncoding jdewey_;
-  std::vector<DeweyId> deweys_;
-  /// Preorder (document-order) rank per node. Creation order need not be
-  /// document order (nodes can be appended under any parent), but document
-  /// order, Dewey order, and fresh-JDewey-sequence order all coincide, so
-  /// one rank sorts every index's rows.
-  std::vector<uint32_t> doc_rank_;
   std::unordered_map<std::string, uint32_t> term_ids_;
   std::vector<std::vector<Occurrence>> occurrences_;  // per term, doc order
   std::vector<TermInfo> term_infos_;

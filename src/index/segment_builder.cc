@@ -67,21 +67,17 @@ JDeweyIndex BuildSegmentIndex(const XmlTree& tree, const JDeweyEncoding& enc,
     });
     JDeweyList& list = (*lists)[t];
     uint32_t rows = static_cast<uint32_t>(occs.size());
-    list.lengths.resize(rows);
     list.scores.resize(rows);
     list.nodes.resize(rows);
     for (uint32_t row = 0; row < rows; ++row) {
-      const JDeweySeq& seq = seqs.at(occs[row].node);
-      uint16_t len = static_cast<uint16_t>(seq.size());
-      list.lengths[row] = len;
       list.scores[row] = static_cast<float>(occs[row].tf);
       list.nodes[row] = occs[row].node;
-      if (len > list.max_length) list.max_length = len;
-      if (list.columns.size() < len) list.columns.resize(len);
-      for (uint16_t level = 1; level <= len; ++level) {
-        list.columns[level - 1].Append(row, seq[level - 1]);
-      }
     }
+    FillColumns(
+        rows, [&](uint32_t row) -> const JDeweySeq& {
+          return seqs.at(occs[row].node);
+        },
+        &list);
     (*stats)[t] = ComputeListStats(list, options.stats_buckets);
   }
 

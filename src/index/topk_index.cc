@@ -1,6 +1,7 @@
 #include "index/topk_index.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "util/varint.h"
 
@@ -34,11 +35,16 @@ TopKList BuildTopKListFor(const JDeweyList& jlist) {
   TopKList list;
   list.base = &jlist;
   // Group rows by sequence length, then order each group by score
-  // descending (row-ascending tie-break for determinism).
+  // descending (row-ascending tie-break for determinism). Groups are
+  // counted first so every segment's rows are allocated at their size.
   std::unordered_map<uint16_t, std::vector<uint32_t>> groups;
+  std::unordered_map<uint16_t, uint32_t> sizes;
+  for (uint16_t length : jlist.lengths) ++sizes[length];
+  for (const auto& [length, size] : sizes) groups[length].reserve(size);
   for (uint32_t row = 0; row < jlist.num_rows(); ++row) {
     groups[jlist.lengths[row]].push_back(row);
   }
+  list.segments.reserve(groups.size());
   for (auto& [length, rows] : groups) {
     std::sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
       if (jlist.scores[a] != jlist.scores[b]) {
@@ -64,16 +70,18 @@ TopKIndex BuildTopKIndexFrom(const JDeweyIndex& base) {
   index.base_ = &base;
   index.lists_.resize(base.terms().size());
   for (uint32_t t = 0; t < base.terms().size(); ++t) {
-    index.term_ids_.emplace(base.terms()[t], t);
     index.lists_[t] = BuildTopKListFor(base.lists()[t]);
   }
   return index;
 }
 
 const TopKList* TopKIndex::GetList(const std::string& term) const {
-  auto it = term_ids_.find(term);
-  if (it == term_ids_.end()) return nullptr;
-  return &lists_[it->second];
+  // lists_ is aligned with the base index's lists, so the base's
+  // dictionary answers the lookup.
+  const JDeweyList* base_list =
+      base_ == nullptr ? nullptr : base_->GetList(term);
+  if (base_list == nullptr) return nullptr;
+  return &lists_[base_list - base_->lists().data()];
 }
 
 uint64_t TopKIndex::EncodedListBytes() const {

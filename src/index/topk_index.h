@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/scoring.h"
@@ -63,8 +62,7 @@ class TopKIndex {
   friend TopKIndex BuildTopKIndexFrom(const JDeweyIndex& base);
 
   const JDeweyIndex* base_ = nullptr;
-  std::unordered_map<std::string, uint32_t> term_ids_;
-  std::vector<TopKList> lists_;
+  std::vector<TopKList> lists_;  ///< aligned with base_->lists()
 };
 
 /// Derives the score-ordered top-K index from a JDeweyIndex alone — the

@@ -82,6 +82,17 @@ void ExpectTopKMatchesComplete(const std::vector<SearchResult>& topk,
   }
 }
 
+/// The oracle: the stack-based DIL baseline.
+std::vector<SearchResult> StackOracle(const XmlTree& tree,
+                                      const DeweyIndex& dindex,
+                                      Semantics semantics,
+                                      const std::vector<std::string>& keywords) {
+  StackSearchOptions options;
+  options.semantics = semantics;
+  StackSearch search(tree, dindex, options);
+  return search.Search(keywords);
+}
+
 /// One disk configuration under test.
 struct DiskConfig {
   ColumnCodec codec;
@@ -111,6 +122,9 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
   compressed_options.enable_dict = true;
   IndexBuilder compressed_builder(tree, compressed_options);
   JDeweyIndex jindex_compressed = compressed_builder.BuildJDeweyIndex();
+  TopKIndex topk_index = builder.BuildTopKIndex(jindex);
+  TopKIndex topk_compressed =
+      compressed_builder.BuildTopKIndex(jindex_compressed);
 
   // Disk segments: the current group-varint/auto checksummed format, the
   // legacy delta codec in both the checksummed and pre-checksum (v1)
@@ -198,13 +212,8 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
 
     // Oracle: the stack-based DIL baseline, cross-checked against the
     // eager Indexed-Lookup baseline (independent implementations).
-    std::vector<SearchResult> want;
-    {
-      StackSearchOptions options;
-      options.semantics = query.semantics;
-      StackSearch search(tree, dindex, options);
-      want = search.Search(query.keywords);
-    }
+    std::vector<SearchResult> want =
+        StackOracle(tree, dindex, query.semantics, query.keywords);
     {
       IndexedLookupOptions options;
       options.semantics = query.semantics;
@@ -246,17 +255,6 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
                           label + " disk " + config_names[c] + " policy=" +
                               std::to_string(static_cast<int>(policy)));
       }
-      {
-        auto session = envs[c]->NewSession();
-        TopKSearchOptions options;
-        options.semantics = query.semantics;
-        options.k = query.k;
-        auto got = session->SearchTopK(query.keywords, options);
-        ASSERT_TRUE(got.ok()) << label << " " << config_names[c] << ": "
-                              << got.status().ToString();
-        ExpectTopKMatchesComplete(*got, want, query.k,
-                                  label + " topk " + config_names[c]);
-      }
     }
 
     // Segmented: sealed disk segments + memtable, same answers.
@@ -267,13 +265,46 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
       auto got = search.Search(query.keywords);
       ExpectSameResults(got, want, label + " segmented");
       segmented_complete.push_back(got);
+    }
 
-      TopKSearchOptions topk_options;
-      topk_options.semantics = query.semantics;
-      topk_options.k = query.k;
-      TopKSearch topk(&segmented, topk_options);
-      ExpectTopKMatchesComplete(topk.Search(query.keywords), want, query.k,
-                                label + " segmented topk");
+    // Top-K under both semantics on every backend: the default budgeted
+    // strategy (star join or complete fallback, whichever the budget picks)
+    // must rank like the complete result; the in-memory indexes also run
+    // the unbounded star join.
+    for (Semantics semantics : {Semantics::kElca, Semantics::kSlca}) {
+      const std::vector<SearchResult> oracle =
+          semantics == query.semantics
+              ? want
+              : StackOracle(tree, dindex, semantics, query.keywords);
+      const std::string topk_label =
+          label +
+          (semantics == Semantics::kElca ? " topk ELCA " : " topk SLCA ");
+      TopKSearchOptions options;
+      options.semantics = semantics;
+      options.k = query.k;
+      for (size_t c = 0; c < envs.size(); ++c) {
+        auto got = envs[c]->NewSession()->SearchTopK(query.keywords, options);
+        ASSERT_TRUE(got.ok()) << topk_label << config_names[c] << ": "
+                              << got.status().ToString();
+        ExpectTopKMatchesComplete(*got, oracle, query.k,
+                                  topk_label + config_names[c]);
+      }
+      TopKSearch segmented_topk(&segmented, options);
+      ExpectTopKMatchesComplete(segmented_topk.Search(query.keywords), oracle,
+                                query.k, topk_label + "segmented");
+      for (bool fallback : {true, false}) {
+        options.fallback_to_complete = fallback;
+        TopKSearch memory(topk_index, options);
+        ExpectTopKMatchesComplete(memory.Search(query.keywords), oracle,
+                                  query.k,
+                                  topk_label + "memory fallback=" +
+                                      std::to_string(fallback));
+        TopKSearch compressed(topk_compressed, options);
+        ExpectTopKMatchesComplete(compressed.Search(query.keywords), oracle,
+                                  query.k,
+                                  topk_label + "compressed fallback=" +
+                                      std::to_string(fallback));
+      }
     }
   }
 
@@ -338,6 +369,9 @@ TEST_P(HighRepetitionDifferentialTest, CompressedEnginesMatchOracle) {
   compressed_options.enable_dict = true;
   IndexBuilder compressed_builder(tree, compressed_options);
   JDeweyIndex jindex_compressed = compressed_builder.BuildJDeweyIndex();
+  TopKIndex topk_index = builder.BuildTopKIndex(jindex);
+  TopKIndex topk_compressed =
+      compressed_builder.BuildTopKIndex(jindex_compressed);
   // This family must actually trigger the DAG: at least one shared class.
   size_t dag_lists = 0;
   for (const std::string& term : spec.terms) {
@@ -365,13 +399,8 @@ TEST_P(HighRepetitionDifferentialTest, CompressedEnginesMatchOracle) {
                         (query.semantics == Semantics::kElca ? " ELCA"
                                                              : " SLCA");
 
-    std::vector<SearchResult> want;
-    {
-      StackSearchOptions options;
-      options.semantics = query.semantics;
-      StackSearch search(tree, dindex, options);
-      want = search.Search(query.keywords);
-    }
+    std::vector<SearchResult> want =
+        StackOracle(tree, dindex, query.semantics, query.keywords);
     {
       IndexedLookupOptions options;
       options.semantics = query.semantics;
@@ -399,14 +428,33 @@ TEST_P(HighRepetitionDifferentialTest, CompressedEnginesMatchOracle) {
                         label + " disk v3 policy=" +
                             std::to_string(static_cast<int>(policy)));
     }
-    {
-      auto session = (*env)->NewSession();
+    for (Semantics semantics : {Semantics::kElca, Semantics::kSlca}) {
+      const std::vector<SearchResult> oracle =
+          semantics == query.semantics
+              ? want
+              : StackOracle(tree, dindex, semantics, query.keywords);
+      const std::string topk_label =
+          label +
+          (semantics == Semantics::kElca ? " topk ELCA " : " topk SLCA ");
       TopKSearchOptions options;
-      options.semantics = query.semantics;
+      options.semantics = semantics;
       options.k = query.k;
-      auto got = session->SearchTopK(query.keywords, options);
+      auto got = (*env)->NewSession()->SearchTopK(query.keywords, options);
       ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-      ExpectTopKMatchesComplete(*got, want, query.k, label + " disk v3 topk");
+      ExpectTopKMatchesComplete(*got, oracle, query.k, topk_label + "disk v3");
+      for (bool fallback : {true, false}) {
+        options.fallback_to_complete = fallback;
+        TopKSearch memory(topk_index, options);
+        ExpectTopKMatchesComplete(memory.Search(query.keywords), oracle,
+                                  query.k,
+                                  topk_label + "memory fallback=" +
+                                      std::to_string(fallback));
+        TopKSearch compressed(topk_compressed, options);
+        ExpectTopKMatchesComplete(compressed.Search(query.keywords), oracle,
+                                  query.k,
+                                  topk_label + "compressed fallback=" +
+                                      std::to_string(fallback));
+      }
     }
   }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing/corpus.h"
+#include "workload/dblp_gen.h"
 #include "xml/xml_parser.h"
 
 namespace xtopk {
@@ -44,13 +47,48 @@ TEST(EngineTest, TopKAgreesWithCompleteSearch) {
 }
 
 TEST(EngineTest, HybridReturnsSameAnswers) {
-  XmlTree tree = testing::MakeSmallCorpus();
-  Engine engine(tree);
-  auto top = engine.SearchTopK({"xml", "data"}, 3);
-  auto hybrid = engine.SearchHybrid({"xml", "data"}, 3);
-  ASSERT_EQ(top.size(), hybrid.size());
-  for (size_t i = 0; i < top.size(); ++i) {
-    EXPECT_NEAR(top[i].score, hybrid[i].score, 1e-9);
+  // SearchTopK picks its strategy per query — the star join where it
+  // proves k results inside its budget (the correlated records), the
+  // complete join otherwise (the small corpus) — and answers the complete
+  // result's top k either way.
+  XmlTree small = testing::MakeSmallCorpus();
+  XmlTree correlated = testing::MakeCorrelatedRecords(20000);
+  for (const XmlTree* tree : {&small, &correlated}) {
+    Engine engine(*tree);
+    auto top = engine.SearchTopK({"xml", "data"}, 3);
+    auto all = engine.Search({"xml", "data"});
+    ASSERT_EQ(top.size(), 3u);
+    for (size_t i = 0; i < top.size(); ++i) {
+      EXPECT_NEAR(top[i].score, all[i].score, 1e-9);
+    }
+  }
+}
+
+TEST(EngineTest, WideQueriesMatchCompleteSearch) {
+  // The most frequent terms of a DBLP-like corpus, 31 to 40 at a time: the
+  // star join's source mask ends at 31, wider queries take the complete
+  // route and must still return the complete result's top 10.
+  DblpGenOptions gen;
+  gen.num_conferences = 10;
+  gen.years_per_conference = 5;
+  gen.papers_per_year = 20;
+  DblpCorpus corpus = GenerateDblp(gen);
+  Engine engine(corpus.tree);
+  std::vector<TermInfo> terms = engine.builder().terms();
+  std::sort(terms.begin(), terms.end(),
+            [](const TermInfo& a, const TermInfo& b) {
+              return a.frequency > b.frequency;
+            });
+  for (size_t width : {31u, 32u, 33u, 40u}) {
+    std::vector<std::string> query;
+    for (size_t i = 0; i < width; ++i) query.push_back(terms[i].term);
+    auto all = engine.Search(query);
+    auto top = engine.SearchTopK(query, 10);
+    ASSERT_FALSE(all.empty()) << width;
+    ASSERT_EQ(top.size(), std::min<size_t>(10, all.size())) << width;
+    for (size_t i = 0; i < top.size(); ++i) {
+      EXPECT_NEAR(top[i].score, all[i].score, 1e-9) << width << " " << i;
+    }
   }
 }
 

@@ -96,11 +96,13 @@ TEST(ExplainTest, CompleteQueryGoldenShape) {
 }
 
 TEST(ExplainTest, TopKQueryHasColumnSpans) {
-  XmlTree tree = ParseXmlStringOrDie(kFixtureXml);
+  // Correlated records: the star join proves the top 2 inside its budget,
+  // so the topk_search span names it and carries its column spans.
+  XmlTree tree = testing::MakeCorrelatedRecords(20000);
   Engine engine(tree);
 
-  ExplainResult explained = engine.Explain({"keyword", "search"}, 2);
-  std::vector<QueryHit> want = engine.SearchTopK({"keyword", "search"}, 2);
+  ExplainResult explained = engine.Explain({"xml", "data"}, 2);
+  std::vector<QueryHit> want = engine.SearchTopK({"xml", "data"}, 2);
   ASSERT_EQ(explained.hits.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(explained.hits[i].node, want[i].node);
@@ -111,7 +113,9 @@ TEST(ExplainTest, TopKQueryHasColumnSpans) {
   EXPECT_EQ(LabelOr(*root, "mode", ""), "topk");
   const auto* topk = FindSpan(explained.trace, "topk_search");
   ASSERT_NE(topk, nullptr);
-  EXPECT_NE(LabelOr(*topk, "termination", ""), "");
+  EXPECT_EQ(LabelOr(*topk, "strategy", ""), "star_join");
+  EXPECT_EQ(LabelOr(*topk, "termination", ""), "k_reached");
+  EXPECT_EQ(FindSpan(explained.trace, "join_search"), nullptr);
 
   // Every processed column shows up as a column_L<level> span with a mode
   // label (the §V-D star-join / complete-sweep decision).
@@ -124,6 +128,41 @@ TEST(ExplainTest, TopKQueryHasColumnSpans) {
     }
   }
   EXPECT_GT(columns, 0u);
+}
+
+TEST(ExplainTest, FallbackNestsJoinSearchUnderTopK) {
+  // The fixture's lists are far too short for a star-join budget: the
+  // query falls back, and the complete join's spans nest under topk_search.
+  XmlTree tree = ParseXmlStringOrDie(kFixtureXml);
+  Engine engine(tree);
+  ExplainResult explained = engine.Explain({"keyword", "search"}, 2);
+  std::vector<QueryHit> want = engine.SearchTopK({"keyword", "search"}, 2);
+  ASSERT_EQ(explained.hits.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(explained.hits[i].node, want[i].node);
+    EXPECT_EQ(explained.hits[i].score, want[i].score);
+  }
+
+  const auto& spans = explained.trace.spans();
+  int topk = -1, join = -1;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "topk_search") topk = static_cast<int>(i);
+    if (spans[i].name == "join_search") join = static_cast<int>(i);
+  }
+  ASSERT_GE(topk, 0);
+  ASSERT_GE(join, 0);
+  EXPECT_EQ(LabelOr(spans[topk], "strategy", ""), "complete_fallback");
+  EXPECT_EQ(LabelOr(spans[topk], "termination", ""), "complete");
+  EXPECT_EQ(explained.trace.StatOr(topk, "budget", -1.0), 0.0);
+  EXPECT_EQ(spans[join].parent, topk);
+  size_t levels = 0;
+  for (const auto& span : spans) {
+    if (span.name.rfind("level_", 0) == 0) {
+      ++levels;
+      EXPECT_EQ(span.parent, join) << "level spans nest under join_search";
+    }
+  }
+  EXPECT_GT(levels, 0u);
 }
 
 TEST(ExplainTest, MissingTermIsLabeled) {
@@ -143,6 +182,7 @@ TEST(ExplainTest, RenderAndJsonCarryTheTree) {
   std::string rendered = explained.trace.Render();
   EXPECT_NE(rendered.find("query"), std::string::npos);
   EXPECT_NE(rendered.find("topk_search"), std::string::npos);
+  EXPECT_NE(rendered.find("strategy"), std::string::npos);
   std::string json = explained.trace.ToJson();
   EXPECT_NE(json.find("\"name\":\"query\""), std::string::npos);
 }

@@ -151,6 +151,7 @@ TEST_P(PlannerCorrectnessTest, PlannedEqualsHeuristicOnEveryBackend) {
         options.semantics = query.semantics;
         options.k = query.k;
         options.hybrid_min_matches = 1e9;  // always sweep
+        options.fallback_to_complete = false;  // the sweeps, not the fallback
         options.use_planner = planned;
         TopKSearch search(&segmented, options);
         return search.Search(query.keywords);

@@ -34,8 +34,10 @@ TEST(TopKSearchTest, SmallCorpusTop2Elca) {
 
   TopKSearchOptions options;
   options.k = 2;
+  options.fallback_to_complete = false;  // the star join itself
   TopKSearch search(topk, options);
   auto got = search.Search({"xml", "data"});
+  EXPECT_FALSE(search.stats().fell_back);
   auto want = CompleteTopK(jindex, {"xml", "data"}, Semantics::kElca, 2);
   ASSERT_EQ(got.size(), 2u);
   for (size_t i = 0; i < got.size(); ++i) {
@@ -100,31 +102,37 @@ TEST_P(TopKEquivalenceTest, MatchesCompleteSearchTopK) {
   for (Semantics semantics : {Semantics::kElca, Semantics::kSlca}) {
     for (bool grouped : {true, false}) {
       // hybrid 0: pure star join; 1e9: every column swept completely;
-      // 20: genuinely mixed on these corpora.
+      // 20: genuinely mixed on these corpora. fallback off runs the star
+      // join unbounded; on, the budgeted default strategy.
       for (double hybrid : {0.0, 20.0, 1e9}) {
-        TopKSearchOptions options;
-        options.semantics = semantics;
-        options.k = c.top_k;
-        options.group_threshold = grouped;
-        options.hybrid_min_matches = hybrid;
-        TopKSearch search(topk_index, options);
-        auto got = search.Search(terms);
-        auto want = CompleteTopK(jindex, terms, semantics, c.top_k);
-        ASSERT_EQ(got.size(), want.size())
-            << "seed " << c.seed << " grouped " << grouped << " hybrid "
-            << hybrid;
-        for (size_t i = 0; i < got.size(); ++i) {
-          // Score ties can permute nodes; scores must agree positionally.
-          ASSERT_NEAR(got[i].score, want[i].score, 1e-6)
-              << "seed " << c.seed << " pos " << i << " grouped " << grouped
-              << " hybrid " << hybrid;
-        }
-        // Emission order is score-descending.
-        for (size_t i = 1; i < got.size(); ++i) {
-          ASSERT_GE(got[i - 1].score, got[i].score - 1e-9);
-        }
-        if (hybrid >= 1e9) {
-          ASSERT_EQ(search.stats().columns_star_join, 0u);
+        for (bool fallback : {false, true}) {
+          TopKSearchOptions options;
+          options.semantics = semantics;
+          options.k = c.top_k;
+          options.group_threshold = grouped;
+          options.hybrid_min_matches = hybrid;
+          options.fallback_to_complete = fallback;
+          TopKSearch search(topk_index, options);
+          auto got = search.Search(terms);
+          auto want = CompleteTopK(jindex, terms, semantics, c.top_k);
+          ASSERT_EQ(got.size(), want.size())
+              << "seed " << c.seed << " grouped " << grouped << " hybrid "
+              << hybrid << " fallback " << fallback;
+          for (size_t i = 0; i < got.size(); ++i) {
+            // Score ties can permute nodes; scores must agree positionally.
+            ASSERT_NEAR(got[i].score, want[i].score, 1e-6)
+                << "seed " << c.seed << " pos " << i << " grouped "
+                << grouped << " hybrid " << hybrid << " fallback "
+                << fallback;
+          }
+          // Emission order is score-descending.
+          for (size_t i = 1; i < got.size(); ++i) {
+            ASSERT_GE(got[i - 1].score, got[i].score - 1e-9);
+          }
+          if (hybrid >= 1e9) {
+            ASSERT_EQ(search.stats().columns_star_join, 0u);
+          }
+          if (!fallback) ASSERT_FALSE(search.stats().fell_back);
         }
       }
     }
@@ -164,6 +172,7 @@ TEST(TopKSearchTest, PerLevelHybridMixesModes) {
   TopKSearchOptions options;
   options.k = 1000000;  // force processing every level
   options.hybrid_min_matches = 4.0;
+  options.fallback_to_complete = false;
   TopKSearch search(topk_index, options);
   auto results = search.Search({"alpha", "beta"});
   const TopKSearchStats& stats = search.stats();
@@ -173,6 +182,7 @@ TEST(TopKSearchTest, PerLevelHybridMixesModes) {
   // Results equal the pure star-join run.
   TopKSearchOptions pure;
   pure.k = 1000000;
+  pure.fallback_to_complete = false;
   TopKSearch pure_search(topk_index, pure);
   auto want = pure_search.Search({"alpha", "beta"});
   ASSERT_EQ(results.size(), want.size());
@@ -193,6 +203,7 @@ TEST(TopKSearchTest, EarlyTerminationReadsLessOnLargeResultSets) {
 
   TopKSearchOptions options;
   options.k = 5;
+  options.fallback_to_complete = false;  // a property of the star join
   TopKSearch search(topk_index, options);
   auto results = search.Search({"alpha", "beta"});
   ASSERT_EQ(results.size(), 5u);

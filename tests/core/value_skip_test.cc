@@ -37,6 +37,7 @@ TEST(ValueSkipTest, TopKValueRangeSkipIsBitIdentical) {
       TopKSearchOptions with_skip;
       with_skip.k = 6;
       with_skip.value_range_skip = true;
+      with_skip.fallback_to_complete = false;  // skips live in the star join
       TopKSearchOptions no_skip = with_skip;
       no_skip.value_range_skip = false;
       TopKSearch search_skip(topk, with_skip);
@@ -69,6 +70,7 @@ TEST(ValueSkipTest, DisjointSubtreesTriggerColumnSkips) {
 
   TopKSearchOptions options;
   options.k = 4;
+  options.fallback_to_complete = false;  // skips live in the star join
   TopKSearch with_skip(topk, options);
   auto got = with_skip.Search({"left", "right"});
   EXPECT_GT(with_skip.stats().columns_value_skipped, 0u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "index/segment_builder.h"
 #include "testing/corpus.h"
 #include "xml/jdewey_builder.h"
 
@@ -61,6 +62,33 @@ TEST_F(IndexBuilderTest, ColumnsAreRunSortedAndConsistent) {
   // Column 1 groups everything under the root: one run covering all rows.
   EXPECT_EQ(list->column(1).run_count(), 1u);
   EXPECT_EQ(list->column(1).runs()[0].count, list->num_rows());
+}
+
+/// Every column of `index` holds exactly its runs: no growth slack.
+void ExpectExactColumns(const JDeweyIndex& index, const std::string& label) {
+  size_t columns = 0;
+  for (const JDeweyList& list : index.lists()) {
+    for (const Column& column : list.columns) {
+      ++columns;
+      ASSERT_EQ(column.runs().capacity(), column.run_count()) << label;
+    }
+  }
+  EXPECT_GT(columns, 0u) << label;
+}
+
+TEST(IndexMemoryTest, BuiltColumnsAreSizedExactly) {
+  XmlTree tree = testing::MakeRandomTree(
+      12, 3000, 5, 7, {"alpha", "beta", "gamma"}, 0.3);
+  IndexBuilder builder(tree);
+  ExpectExactColumns(builder.BuildJDeweyIndex(), "IndexBuilder");
+
+  // Segments over an interleaved subset of the nodes, as ingestion cuts
+  // them: runs split wherever a covered node's neighbours are missing.
+  JDeweyEncoding enc = JDeweyBuilder::Assign(tree, 2);
+  std::vector<NodeId> odd;
+  for (NodeId id = 1; id < tree.node_count(); id += 2) odd.push_back(id);
+  ExpectExactColumns(BuildSegmentIndex(tree, enc, odd, IndexBuildOptions{}),
+                     "BuildSegmentIndex");
 }
 
 TEST_F(IndexBuilderTest, NodeAtInvertsNumbering) {

@@ -108,6 +108,41 @@ inline XmlTree MakeRandomTree(uint64_t seed, size_t max_nodes,
   return tree;
 }
 
+/// A flat corpus of `records` <rec> elements under one <db> root, each with
+/// a <title> holding title(i) and a <venue> holding venue(i): the caller
+/// dictates per record how often, and how close together, keywords occur.
+template <typename TitleFn, typename VenueFn>
+XmlTree MakeRecordTree(size_t records, TitleFn title, VenueFn venue) {
+  XmlTree tree;
+  NodeId db = tree.CreateRoot("db");
+  for (size_t i = 0; i < records; ++i) {
+    NodeId rec = tree.AddChild(db, "rec");
+    tree.AppendText(tree.AddChild(rec, "title"), title(i));
+    tree.AppendText(tree.AddChild(rec, "venue"), venue(i));
+  }
+  return tree;
+}
+
+/// Strongly correlated keywords: "xml" and "data" share every record's
+/// title (with varying term frequency, so scores differ).
+inline XmlTree MakeCorrelatedRecords(size_t records) {
+  return MakeRecordTree(
+      records,
+      [](size_t i) {
+        return std::string(i % 3 == 0 ? "xml xml data" : "xml data");
+      },
+      [](size_t) { return std::string("proceedings"); });
+}
+
+/// Weakly correlated keywords: "rare" in one title of every 50, "common"
+/// in every venue, so the only matches are whole records.
+inline XmlTree MakeRareTimesFrequentRecords(size_t records) {
+  return MakeRecordTree(
+      records,
+      [](size_t i) { return std::string(i % 50 == 0 ? "rare" : "plain"); },
+      [](size_t) { return std::string("common"); });
+}
+
 /// High-repetition corpus family: `copies` identical multi-node subtrees
 /// (an item with props/name/payload children carrying the planted terms)
 /// attached under per-group containers, interleaved with unique filler

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "serve/server.h"
 #include "testing/corpus.h"
 #include "testing/serve_client.h"
+#include "workload/dblp_gen.h"
 
 namespace xtopk {
 namespace {
@@ -75,6 +77,40 @@ TEST(ServeEndToEnd, UnknownKeywordEmptyHits) {
       harness.Call(MakeRequest({"nosuchword"}, 5, Semantics::kElca));
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_TRUE(response.hits.empty());
+}
+
+TEST(ServeEndToEnd, WideTopKRequestsMatchCompleteSearch) {
+  // The protocol admits 64 keywords; the star join takes at most 31. Wider
+  // top-k requests take the complete route and must return the complete
+  // result's top 10 over the wire.
+  DblpGenOptions gen;
+  gen.num_conferences = 10;
+  gen.years_per_conference = 5;
+  gen.papers_per_year = 20;
+  ServeHarness harness(GenerateDblp(gen).tree);
+  ASSERT_TRUE(harness.started());
+  std::vector<TermInfo> terms = harness.engine().builder().terms();
+  std::sort(terms.begin(), terms.end(),
+            [](const TermInfo& a, const TermInfo& b) {
+              return a.frequency > b.frequency;
+            });
+  for (size_t width : {31u, 32u, 33u, 40u}) {
+    std::vector<std::string> keywords;
+    for (size_t i = 0; i < width; ++i) keywords.push_back(terms[i].term);
+    QueryResponse response =
+        harness.Call(MakeRequest(keywords, /*k=*/10, Semantics::kElca));
+    EXPECT_EQ(response.status, ResponseStatus::kOk);
+    std::string label = std::to_string(width) + " keywords";
+    ExpectHitsBitIdentical(harness.engine().SearchTopK(keywords, 10),
+                           response.hits, label);
+    auto all = harness.engine().Search(keywords);
+    ASSERT_EQ(response.hits.size(), std::min<size_t>(10, all.size()))
+        << label;
+    ASSERT_FALSE(response.hits.empty()) << label;
+    for (size_t i = 0; i < response.hits.size(); ++i) {
+      EXPECT_NEAR(response.hits[i].score, all[i].score, 1e-9) << label;
+    }
+  }
 }
 
 TEST(ServeEndToEnd, PingRoundtrip) {
