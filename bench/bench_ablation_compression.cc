@@ -152,8 +152,9 @@ double StructureIntersectQps(const xtopk::JDeweyIndex& index,
 }
 
 /// One corpus of the structure ablation: builds the index with the
-/// compression layer off and on, serializes both (legacy v2 bytes vs the
-/// v3 dict+DAG sidecar layout, manifests included) and measures the join
+/// compression layer off and on, serializes both (the plain image vs the
+/// compressed one with the DAG sidecar and dictionary-coded rows,
+/// manifests included) and measures the join
 /// throughput of each in-memory form.
 void RunStructureAblation(const char* label, bool repeated, size_t groups,
                           size_t copies) {
@@ -183,7 +184,6 @@ void RunStructureAblation(const char* label, bool repeated, size_t groups,
   plain_write.include_scores = false;
   xtopk::DiskIndexWriter::Write(plain, plain_path, plain_write).ok();
   xtopk::DiskIndexWriter::Options comp_write = plain_write;
-  comp_write.dict_terms = true;
   comp_write.dag = true;
   comp_write.dict_rows = true;
   xtopk::DiskIndexWriter::Write(comp, comp_path, comp_write).ok();

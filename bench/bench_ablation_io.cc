@@ -42,7 +42,7 @@ int main() {
   xtopk::IndexBuilder builder(corpus.tree);
   xtopk::JDeweyIndex jindex = builder.BuildJDeweyIndex();
   std::string path = "/tmp/xtopk_bench_io.idx";
-  xtopk::Status s = xtopk::DiskIndexWriter::Write(jindex, true, path);
+  xtopk::Status s = xtopk::DiskIndexWriter::Write(jindex, path);
   if (!s.ok()) {
     std::fprintf(stderr, "write: %s\n", s.ToString().c_str());
     return 1;
@@ -97,5 +97,6 @@ int main() {
       "\nexpected shape: the shallow-l0 query touches far fewer pages than\n"
       "a full materialization; deep-pair queries approach it.\n");
   std::remove(path.c_str());
+  std::remove((path + ".manifest").c_str());
   return 0;
 }

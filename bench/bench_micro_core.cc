@@ -160,13 +160,12 @@ void BM_IntervalSetPruning(benchmark::State& state) {
 }
 BENCHMARK(BM_IntervalSetPruning);
 
-/// One disk segment per container format, shared by the full-decode pair
-/// below. The tree is big enough that the segment spans many pages, so
-/// the per-page CRC actually runs (it fires once per physical read).
+/// One disk image, shared by the full-decode benchmark below. The tree is
+/// big enough that the image spans many pages, so the per-page CRC
+/// actually runs (it fires once per physical read).
 struct DiskBenchFixture {
   std::vector<std::string> terms = {"alpha", "beta", "gamma", "delta"};
-  std::string v2_path;
-  std::string v1_path;
+  std::string path;
 
   DiskBenchFixture() {
     xtopk::Rng rng(11);
@@ -195,18 +194,12 @@ struct DiskBenchFixture {
     xtopk::JDeweyIndex jindex = builder.BuildJDeweyIndex();
     std::string base =
         "/tmp/bench_micro_core_" + std::to_string(::getpid());
-    v2_path = base + "_v2.seg";
-    v1_path = base + "_v1.seg";
-    xtopk::DiskIndexWriter::Write(jindex, /*include_scores=*/true, v2_path,
-                                  xtopk::ColumnCodec::kAuto,
-                                  /*write_checksums=*/true);
-    xtopk::DiskIndexWriter::Write(jindex, /*include_scores=*/true, v1_path,
-                                  xtopk::ColumnCodec::kAuto,
-                                  /*write_checksums=*/false);
+    path = base + ".seg";
+    xtopk::DiskIndexWriter::Write(jindex, path).ok();
   }
   ~DiskBenchFixture() {
-    std::remove(v2_path.c_str());
-    std::remove(v1_path.c_str());
+    std::remove(path.c_str());
+    std::remove((path + ".manifest").c_str());
   }
 };
 
@@ -217,15 +210,14 @@ const DiskBenchFixture& DiskFixture() {
 
 /// Full decode of every term's list from a cold environment — the worst
 /// case for checksum overhead, since every page read is physical and gets
-/// verified. The checksummed/legacy pair pins the acceptance budget:
-/// v2 must stay within 3% of v1.
-void DiskFullDecode(benchmark::State& state, const std::string& path) {
+/// verified.
+void BM_DiskFullDecodeChecksummed(benchmark::State& state) {
   const DiskBenchFixture& fixture = DiskFixture();
   uint64_t rows = 0;
   for (auto _ : state) {
     xtopk::DiskIndexOptions options;
     options.decoded_cache_bytes = 0;  // force a real decode every time
-    auto env = xtopk::DiskIndexEnv::Open(path, options);
+    auto env = xtopk::DiskIndexEnv::Open(fixture.path, options);
     auto session = (*env)->NewSession();
     for (const std::string& term : fixture.terms) {
       auto list = session->LoadList(term, session->MaxLength(term));
@@ -235,16 +227,7 @@ void DiskFullDecode(benchmark::State& state, const std::string& path) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(rows));
 }
-
-void BM_DiskFullDecodeChecksummed(benchmark::State& state) {
-  DiskFullDecode(state, DiskFixture().v2_path);
-}
 BENCHMARK(BM_DiskFullDecodeChecksummed);
-
-void BM_DiskFullDecodeLegacy(benchmark::State& state) {
-  DiskFullDecode(state, DiskFixture().v1_path);
-}
-BENCHMARK(BM_DiskFullDecodeLegacy);
 
 /// In-memory engine + query batch for the telemetry overhead pair. The
 /// queries pair a rare term with common ones: join work stays large (long

@@ -18,8 +18,9 @@
 // on-disk footprint of the join-based index — segment file plus the
 // planner-statistics manifest sidecar, which the raw IL figure omits —
 // broken into components (tree mapping, postings, dictionaries,
-// manifests) for the legacy v2 layout and the compressed v3 layout
-// (DESIGN.md §15). The `BENCH` lines carry the breakdown.
+// manifests) for the plain image and the compressed one (DAG sidecar and
+// dictionary-coded rows, DESIGN.md §15). The `BENCH` lines carry the
+// breakdown.
 
 #include <sys/stat.h>
 
@@ -44,7 +45,7 @@ int64_t GaugeValue(const char* name) {
   return xtopk::obs::MetricsRegistry::Global().GetGauge(name).value();
 }
 
-/// Serializes `jindex` in `format` ("v2" legacy / "v3" compressed), emits
+/// Serializes `jindex` in `format` ("plain" / "compressed"), emits
 /// one BENCH line with the total bytes (manifest sidecar included — the
 /// raw IL figures omit it) and the per-component breakdown published by
 /// the writer, and returns the total.
@@ -56,8 +57,7 @@ uint64_t EmitSerializedBreakdown(const char* corpus, const char* format,
                      "/xtopk_table1_" + corpus + "_" + format;
   xtopk::DiskIndexWriter::Options options;
   options.include_scores = false;  // Table I's join-based configuration
-  if (std::string(format) == "v3") {
-    options.dict_terms = true;
+  if (std::string(format) == "compressed") {
     options.dag = true;
     options.dict_rows = true;
   }
@@ -110,7 +110,8 @@ void RunCorpus(const char* corpus, xtopk::bench::BenchCorpus (*build)()) {
               double(report.topk_join_il) / report.join_based_il);
 
   xtopk::JDeweyIndex plain = bench_corpus.builder->BuildJDeweyIndex();
-  uint64_t v2 = EmitSerializedBreakdown(corpus, "v2", plain, report);
+  uint64_t plain_bytes =
+      EmitSerializedBreakdown(corpus, "plain", plain, report);
 
   xtopk::IndexBuildOptions comp_options;
   comp_options.build_threads = 8;
@@ -118,12 +119,16 @@ void RunCorpus(const char* corpus, xtopk::bench::BenchCorpus (*build)()) {
   comp_options.enable_dict = true;
   xtopk::IndexBuilder comp_builder(*bench_corpus.tree, comp_options);
   xtopk::JDeweyIndex comp = comp_builder.BuildJDeweyIndex();
-  uint64_t v3 = EmitSerializedBreakdown(corpus, "v3", comp, report);
+  uint64_t comp_bytes =
+      EmitSerializedBreakdown(corpus, "compressed", comp, report);
 
-  std::printf("  on-disk join-based + manifest: v2 %s, v3 (dict+DAG) %s"
-              " (%.1f%% smaller)\n\n",
-              xtopk::HumanBytes(v2).c_str(), xtopk::HumanBytes(v3).c_str(),
-              v2 == 0 ? 0.0 : (1.0 - double(v3) / v2) * 100.0);
+  std::printf("  on-disk join-based + manifest: plain %s, compressed"
+              " (dict+DAG) %s (%.1f%% smaller)\n\n",
+              xtopk::HumanBytes(plain_bytes).c_str(),
+              xtopk::HumanBytes(comp_bytes).c_str(),
+              plain_bytes == 0
+                  ? 0.0
+                  : (1.0 - double(comp_bytes) / plain_bytes) * 100.0);
 }
 
 }  // namespace

@@ -148,7 +148,7 @@ int RunBench() {
   IndexBuilder builder(workload.tree);
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
   std::string path = "/tmp/xtopk_bench_throughput.idx";
-  Status s = DiskIndexWriter::Write(jindex, /*include_scores=*/true, path);
+  Status s = DiskIndexWriter::Write(jindex, path);
   if (!s.ok()) {
     std::fprintf(stderr, "write: %s\n", s.ToString().c_str());
     return 1;
@@ -326,6 +326,7 @@ int RunBench() {
   }
 
   std::remove(path.c_str());
+  std::remove((path + ".manifest").c_str());
   return 0;
 }
 

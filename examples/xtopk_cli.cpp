@@ -7,9 +7,10 @@
 //
 // Flags (before the subcommand): --slca, --topk N
 //
-// `load` demonstrates the persistence path: the saved column-oriented
-// index is self-contained for querying (results print as (level, node)
-// pairs because the original document is not re-read).
+// `load` demonstrates the persistence path: the saved disk image (plus its
+// `.manifest`) is self-contained for querying — a disk session reads only
+// the columns each query needs. Results print as (level, node) pairs
+// because the original document is not re-read.
 
 #include <cstdio>
 #include <cstdlib>
@@ -18,10 +19,8 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/join_search.h"
-#include "core/topk_search.h"
+#include "index/disk_index.h"
 #include "index/index_builder.h"
-#include "index/index_io.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 #include "xml/xml_parser.h"
@@ -66,8 +65,7 @@ int main(int argc, char** argv) {
     xtopk::Timer timer;
     xtopk::IndexBuilder builder(*parsed);
     xtopk::JDeweyIndex index = builder.BuildJDeweyIndex();
-    xtopk::Status s = xtopk::index_io::SaveJDeweyIndex(
-        index, /*include_scores=*/true, argv[arg + 1]);
+    xtopk::Status s = xtopk::DiskIndexWriter::Write(index, argv[arg + 1]);
     if (!s.ok()) {
       std::fprintf(stderr, "save: %s\n", s.ToString().c_str());
       return 1;
@@ -102,7 +100,7 @@ int main(int argc, char** argv) {
 
   if (command == "load") {
     if (arg + 2 > argc) return Usage();
-    auto index = xtopk::index_io::LoadJDeweyIndex(argv[arg++]);
+    auto index = xtopk::DiskJDeweyIndex::Open(argv[arg++]);
     if (!index.ok()) {
       std::fprintf(stderr, "load: %s\n", index.status().ToString().c_str());
       return 1;
@@ -110,27 +108,30 @@ int main(int argc, char** argv) {
     std::vector<std::string> keywords;
     for (; arg < argc; ++arg) keywords.push_back(xtopk::AsciiLower(argv[arg]));
     xtopk::Timer timer;
-    std::vector<xtopk::SearchResult> results;
+    xtopk::StatusOr<std::vector<xtopk::SearchResult>> results =
+        std::vector<xtopk::SearchResult>();
     if (topk > 0) {
-      // The saved index carries scores, so the top-K segments can be
-      // derived from it directly.
-      xtopk::TopKIndex topk_index = xtopk::BuildTopKIndexFrom(*index);
+      // The saved image carries scores, so the session derives the top-K
+      // segments of the queried lists directly.
       xtopk::TopKSearchOptions options;
       options.semantics = semantics;
       options.k = topk;
-      xtopk::TopKSearch search(topk_index, options);
-      results = search.Search(keywords);
+      results = (*index)->SearchTopK(keywords, options);
     } else {
       xtopk::JoinSearchOptions options;
       options.semantics = semantics;
-      xtopk::JoinSearch search(*index, options);
-      results = search.Search(keywords);
-      xtopk::SortByScoreDesc(&results);
+      results = (*index)->SearchComplete(keywords, options);
+      if (results.ok()) xtopk::SortByScoreDesc(&*results);
+    }
+    if (!results.ok()) {
+      std::fprintf(stderr, "search: %s\n",
+                   results.status().ToString().c_str());
+      return 1;
     }
     double ms = timer.ElapsedMillis();
-    std::printf("%zu hit(s) in %.2f ms (from saved index)\n", results.size(),
-                ms);
-    for (const auto& r : results) {
+    std::printf("%zu hit(s) in %.2f ms (from saved index)\n",
+                results->size(), ms);
+    for (const auto& r : *results) {
       std::printf("  node %u at level %u, score %.4f\n", r.node, r.level,
                   r.score);
     }

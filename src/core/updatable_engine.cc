@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/slow_log.h"
 #include "obs/windowed.h"
-#include "storage/segment_manifest.h"
 #include "util/timer.h"
 #include "xml/jdewey_builder.h"
 #include "xml/tokenizer.h"
@@ -87,7 +86,10 @@ StatusOr<std::unique_ptr<UpdatableEngine>> UpdatableEngine::OpenDurable(
 
   // Resume the maintained encoding + live set. Any failure below drops to
   // the degraded path: the recovered set cannot be trusted against this
-  // tree, so it is logged away and the whole tree is re-sealed.
+  // tree, so it is logged away and the whole tree is re-sealed. The one
+  // exception is a committed segment whose bytes do not parse (kCorruption:
+  // damage, or a data directory written in an earlier on-disk format) —
+  // that is the operator's to see, so OpenDurable returns it.
   bool resumed = false;
   if (!rec.live.empty() && rec.last_seal_id != 0 &&
       rec.watermark <= engine->tree_.node_count()) {
@@ -105,6 +107,7 @@ StatusOr<std::unique_ptr<UpdatableEngine>> UpdatableEngine::OpenDurable(
       for (uint64_t id : rec.live) {
         Status s = engine->segments_.AddDiskSegment(
             SegmentFilePath(durable.data_dir, id), durable.disk, id);
+        if (s.code() == StatusCode::kCorruption) return s;
         if (!s.ok()) {
           all_open = false;
           break;
@@ -252,12 +255,7 @@ void UpdatableEngine::DurableFullRebuild() {
   uint64_t id = next_segment_id_++;
   std::string path = SegmentFilePath(durable_options_.data_dir, id);
   std::string enc_path = EncodingFilePath(durable_options_.data_dir, id);
-  Status s = DiskIndexWriter::Write(segment, /*include_scores=*/true, path);
-  if (s.ok()) {
-    SegmentManifest manifest = ManifestFromSegment(segment);
-    manifest.covered_nodes = count;
-    s = manifest.Save(path + ".manifest");
-  }
+  Status s = DiskIndexWriter::Write(segment, path, {}, count);
   if (s.ok()) s = JDeweyBuilder::SaveEncoding(encoding_, enc_path);
   if (s.ok()) {
     // The atomic switch: a commit whose inputs are the whole live set and
@@ -375,12 +373,7 @@ Status UpdatableEngine::Seal(const std::string& disk_path) {
   if (disk_path.empty()) {
     segments_.AddMemorySegment(std::move(segment), nodes.size());
   } else {
-    Status s = DiskIndexWriter::Write(segment, /*include_scores=*/true,
-                                      disk_path);
-    if (!s.ok()) return s;
-    SegmentManifest manifest = ManifestFromSegment(segment);
-    manifest.covered_nodes = nodes.size();
-    s = manifest.Save(disk_path + ".manifest");
+    Status s = DiskIndexWriter::Write(segment, disk_path, {}, nodes.size());
     if (!s.ok()) return s;
     s = segments_.AddDiskSegment(disk_path);
     if (!s.ok()) return s;
@@ -409,12 +402,7 @@ Status UpdatableEngine::SealDurableLocked() {
   // Files first, then the log record: the record is the commit point, so
   // a crash before it leaves orphan files recovery deletes, and a crash
   // after it leaves a fully readable segment.
-  Status s = DiskIndexWriter::Write(segment, /*include_scores=*/true, path);
-  if (s.ok()) {
-    SegmentManifest manifest = ManifestFromSegment(segment);
-    manifest.covered_nodes = nodes.size();
-    s = manifest.Save(path + ".manifest");
-  }
+  Status s = DiskIndexWriter::Write(segment, path, {}, nodes.size());
   if (s.ok()) s = JDeweyBuilder::SaveEncoding(encoding_, enc_path);
   if (s.ok()) {
     ManifestRecord seal;
@@ -553,14 +541,7 @@ bool UpdatableEngine::CompactRound(bool merge_all) {
   uint64_t covered = 0;
   StatusOr<JDeweyIndex> merged = BuildCompactedSegment(inputs, &covered);
   Status s = merged.ok() ? Status::Ok() : merged.status();
-  if (s.ok()) {
-    s = DiskIndexWriter::Write(*merged, /*include_scores=*/true, out_path);
-  }
-  if (s.ok()) {
-    SegmentManifest manifest = ManifestFromSegment(*merged);
-    manifest.covered_nodes = covered;
-    s = manifest.Save(out_path + ".manifest");
-  }
+  if (s.ok()) s = DiskIndexWriter::Write(*merged, out_path, {}, covered);
   StatusOr<std::shared_ptr<const SealedSegment>> output =
       s.ok() ? SealedSegment::FromDisk(out_path, durable_options_.disk,
                                        out_id)

@@ -19,16 +19,14 @@
 namespace xtopk {
 namespace {
 
-/// Legacy unchecksummed layout (footer = magic + directory extent).
-constexpr char kMagicV1[8] = {'X', 'T', 'K', 'D', 'I', 'S', 'K', '1'};
-/// Checksummed layout: per-page CRC32C table + self-checksummed footer.
-constexpr char kMagicV2[8] = {'X', 'T', 'K', 'D', 'I', 'S', 'K', '2'};
-constexpr uint32_t kFormatVersionV2 = 2;
-/// v2 plus the structure-aware compression sidecar (same magic — the
-/// version field after it is what distinguishes the two).
-constexpr uint32_t kFormatVersionV3 = 3;
+/// The image's footer magic and format version. The bytes are those of
+/// the last of three historical layouts, which is why the magic ends in 2
+/// and the version reads 3; earlier footers are rejected as Corruption.
+constexpr char kMagic[8] = {'X', 'T', 'K', 'D', 'I', 'S', 'K', '2'};
+constexpr uint32_t kFormatVersion = 3;
 
-/// v3 sidecar flag bits.
+/// Sidecar flag bits. The dictionary bit is always set: the image has one
+/// term space.
 constexpr uint8_t kSidecarDictTerms = 1u << 0;
 constexpr uint8_t kSidecarDag = 1u << 1;
 constexpr uint8_t kSidecarDictRows = 1u << 2;
@@ -104,14 +102,13 @@ Status GetExtent(const std::string& data, size_t* pos, BlobExtent* extent) {
   return s;
 }
 
-/// Parsed segment footer, any format version.
+/// Parsed image footer.
 struct FooterInfo {
-  uint32_t version = 1;
   BlobExtent dir_extent;
-  BlobExtent table_extent;       // v2+
-  BlobExtent sidecar_extent;     // v3 only (compression sidecar)
-  uint32_t data_page_count = 0;  // v2+
-  uint32_t table_crc = 0;        // v2+
+  BlobExtent table_extent;
+  BlobExtent sidecar_extent;
+  uint32_t data_page_count = 0;
+  uint32_t table_crc = 0;
 };
 
 /// Read failures worth retrying: transient I/O errors, and corruption —
@@ -132,29 +129,22 @@ void RetryBackoff(uint32_t attempt, uint32_t backoff_us) {
 }
 
 Status ParseFooter(const std::string& footer, FooterInfo* info) {
-  if (footer.size() < sizeof(kMagicV1)) {
+  if (footer.size() < sizeof(kMagic)) {
     return Status::Corruption("disk index: footer too short");
   }
-  size_t pos = sizeof(kMagicV1);
-  if (std::memcmp(footer.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
-    info->version = 1;
-    return GetExtent(footer, &pos, &info->dir_extent);
-  }
-  if (std::memcmp(footer.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
+  if (std::memcmp(footer.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("disk index: bad magic");
   }
+  size_t pos = sizeof(kMagic);
   uint32_t version = 0;
   Status s = varint::GetU32(footer, &pos, &version);
   if (!s.ok()) return s;
-  if (version != kFormatVersionV2 && version != kFormatVersionV3) {
+  if (version != kFormatVersion) {
     return Status::Corruption("disk index: unsupported format version");
   }
-  info->version = version;
   s = GetExtent(footer, &pos, &info->dir_extent);
   if (s.ok()) s = GetExtent(footer, &pos, &info->table_extent);
-  if (s.ok() && version >= kFormatVersionV3) {
-    s = GetExtent(footer, &pos, &info->sidecar_extent);
-  }
+  if (s.ok()) s = GetExtent(footer, &pos, &info->sidecar_extent);
   if (s.ok()) s = varint::GetU32(footer, &pos, &info->data_page_count);
   if (s.ok()) s = ser::GetFixed32(footer, &pos, &info->table_crc);
   if (!s.ok()) return s;
@@ -212,150 +202,21 @@ uint64_t CounterDelta(uint64_t now, uint64_t baseline) {
 
 }  // namespace
 
-Status DiskIndexWriter::Write(const JDeweyIndex& index, bool include_scores,
-                              const std::string& path, ColumnCodec codec,
-                              bool write_checksums) {
-  PageFile file;
-  Status s = file.Open(path, /*create=*/true);
-  if (!s.ok()) return s;
-  BlobWriter writer(&file);
-
-  std::string directory;
-  directory.push_back(include_scores ? 1 : 0);
-  varint::PutU32(&directory, index.max_level());
-  varint::PutU32(&directory, static_cast<uint32_t>(index.terms().size()));
-
-  WriteAccounting acc;
-  for (size_t t = 0; t < index.terms().size(); ++t) {
-    const JDeweyList& list = index.lists()[t];
-    ser::PutLengthPrefixed(&directory, index.terms()[t]);
-    varint::PutU32(&directory, list.num_rows());
-    varint::PutU32(&directory, list.max_length);
-
-    std::string lengths_blob;
-    for (uint16_t len : list.lengths) varint::PutU32(&lengths_blob, len);
-    acc.lengths += lengths_blob.size();
-    PutExtent(&directory, writer.Append(lengths_blob));
-
-    if (include_scores) {
-      std::string scores_blob;
-      for (float score : list.scores) ser::PutFloat(&scores_blob, score);
-      acc.scores += scores_blob.size();
-      PutExtent(&directory, writer.Append(scores_blob));
-    } else {
-      PutExtent(&directory, BlobExtent{});
-    }
-
-    for (const Column& column : list.columns) {
-      std::string column_blob;
-      EncodeColumn(column, codec, &column_blob);
-      acc.columns += column_blob.size();
-      PutExtent(&directory, writer.Append(column_blob));
-    }
-    if (!writer.status().ok()) return writer.status();
-  }
-
-  // Node mapping, delta-encoded per level.
-  const auto& level_nodes = IndexIoAccess::LevelNodes(index);
-  std::string nodes_blob;
-  varint::PutU32(&nodes_blob, static_cast<uint32_t>(level_nodes.size()));
-  for (const auto& level : level_nodes) {
-    varint::PutU32(&nodes_blob, static_cast<uint32_t>(level.size()));
-    uint32_t prev_value = 0;
-    int64_t prev_node = 0;
-    for (const auto& [value, node] : level) {
-      varint::PutU32(&nodes_blob, value - prev_value);
-      varint::PutS64(&nodes_blob, static_cast<int64_t>(node) - prev_node);
-      prev_value = value;
-      prev_node = static_cast<int64_t>(node);
-    }
-  }
-  BlobExtent nodes_extent = writer.Append(nodes_blob);
-  PutExtent(&directory, nodes_extent);
-  acc.tree = nodes_blob.size();
-  acc.directory = directory.size();
-  acc.Publish();
-
-  BlobExtent dir_extent = writer.Append(directory);
-  s = writer.Finish();
-  if (!s.ok()) return s;
-
-  std::string footer;
-  if (write_checksums) {
-    // Checksum table: one fixed32 CRC per data page. Its own pages are
-    // appended directly (not through BlobWriter — they must not alter the
-    // table they carry) and are covered by table_crc instead.
-    const std::vector<uint32_t>& crcs = writer.page_crcs();
-    std::string table;
-    table.reserve(crcs.size() * 4);
-    for (uint32_t crc : crcs) ser::PutFixed32(&table, crc);
-    BlobExtent table_extent;
-    table_extent.start_page = file.page_count();
-    table_extent.start_offset = 0;
-    table_extent.length = table.size();
-    for (size_t off = 0; off < table.size(); off += PageFile::kPageSize) {
-      auto page = file.AppendPage(
-          table.substr(off, std::min(PageFile::kPageSize, table.size() - off)));
-      if (!page.ok()) return page.status();
-    }
-    if (table.empty()) {  // degenerate empty index: keep the extent valid
-      table_extent.start_page = 0;
-    }
-
-    footer.assign(kMagicV2, sizeof(kMagicV2));
-    varint::PutU32(&footer, kFormatVersionV2);
-    PutExtent(&footer, dir_extent);
-    PutExtent(&footer, table_extent);
-    varint::PutU32(&footer, static_cast<uint32_t>(crcs.size()));
-    ser::PutFixed32(&footer, crc32c::Compute(table));
-    ser::PutFixed32(&footer, crc32c::Compute(footer));
-  } else {
-    // Legacy v1 footer: magic + directory extent, no checksums.
-    footer.assign(kMagicV1, sizeof(kMagicV1));
-    PutExtent(&footer, dir_extent);
-  }
-  auto footer_page = file.AppendPage(footer);
-  if (!footer_page.ok()) return footer_page.status();
-  s = file.Sync();
-  if (!s.ok()) return s;
-  s = file.Close();
-  if (!s.ok()) return s;
-
-  // Planner-statistics sidecar: when the index carries build-time
-  // histograms, persist them as `<path>.manifest` so a later Open can
-  // plan joins from real statistics. Callers that maintain a full
-  // segment manifest (Seal, Compact, the segment tests) overwrite this
-  // file right afterwards with covered_nodes filled in; the sidecar is
-  // advisory either way, so its write failure does not fail Write.
-  if (index.has_stats()) {
-    ManifestFromSegment(index).Save(path + ".manifest").ok();
-  }
-  return Status::Ok();
-}
-
 Status DiskIndexWriter::Write(const JDeweyIndex& index, const std::string& path,
-                              const Options& options) {
-  if (!options.compressed()) {
-    // No compression knob set: byte-identical legacy output.
-    return Write(index, options.include_scores, path, options.codec,
-                 options.write_checksums);
-  }
-
+                              const Options& options, uint64_t covered_nodes) {
   PageFile file;
   Status s = file.Open(path, /*create=*/true);
   if (!s.ok()) return s;
   BlobWriter writer(&file);
 
   const size_t term_count = index.terms().size();
-  // File term order: sorted by term when the names move into the
-  // dictionary (file term id == dictionary code), build order otherwise.
+  // File term order is sorted term order: a term's file id is its
+  // dictionary code.
   std::vector<uint32_t> order(term_count);
   for (uint32_t t = 0; t < term_count; ++t) order[t] = t;
-  if (options.dict_terms) {
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return index.terms()[a] < index.terms()[b];
-    });
-  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return index.terms()[a] < index.terms()[b];
+  });
 
   // The catalog is index-wide: every DAG-carrying list shares one.
   std::shared_ptr<const DagCatalog> catalog;
@@ -384,9 +245,6 @@ Status DiskIndexWriter::Write(const JDeweyIndex& index, const std::string& path,
   for (uint32_t ft = 0; ft < term_count; ++ft) {
     const uint32_t t = order[ft];
     const JDeweyList& list = index.lists()[t];
-    if (!options.dict_terms) {
-      ser::PutLengthPrefixed(&directory, index.terms()[t]);
-    }
     varint::PutU32(&directory, list.num_rows());
     varint::PutU32(&directory, list.max_length);
 
@@ -431,7 +289,7 @@ Status DiskIndexWriter::Write(const JDeweyIndex& index, const std::string& path,
       // Deduplicated levels must be self-contained on disk (their row ids
       // are not derivable from the lengths stream), hence kDict.
       EncodeColumn(dedup_level ? dag->dedup[l] : list.columns[l],
-                   dedup_level ? ColumnCodec::kDict : options.codec,
+                   dedup_level ? ColumnCodec::kDict : ColumnCodec::kAuto,
                    &column_blob);
       acc.columns += column_blob.size();
       PutExtent(&directory, writer.Append(column_blob));
@@ -467,7 +325,7 @@ Status DiskIndexWriter::Write(const JDeweyIndex& index, const std::string& path,
     }
   }
 
-  // Node mapping, delta-encoded per level (same shape as v2).
+  // Node mapping, delta-encoded per level.
   const auto& level_nodes = IndexIoAccess::LevelNodes(index);
   std::string nodes_blob;
   varint::PutU32(&nodes_blob, static_cast<uint32_t>(level_nodes.size()));
@@ -485,23 +343,20 @@ Status DiskIndexWriter::Write(const JDeweyIndex& index, const std::string& path,
   BlobExtent nodes_extent = writer.Append(nodes_blob);
   PutExtent(&directory, nodes_extent);
 
-  // Compression sidecar: flags, term dictionary, DAG catalog + per-term
-  // expansion metadata. Written through BlobWriter so the per-page CRCs
-  // cover it like any data blob.
+  // Sidecar: flags, term dictionary, DAG catalog + per-term expansion
+  // metadata. Written through BlobWriter so the per-page CRCs cover it
+  // like any data blob.
   std::string sidecar;
-  uint8_t flags = 0;
-  if (options.dict_terms) flags |= kSidecarDictTerms;
+  uint8_t flags = kSidecarDictTerms;
   if (write_dag) flags |= kSidecarDag;
   if (options.dict_rows) flags |= kSidecarDictRows;
   sidecar.push_back(static_cast<char>(flags));
-  if (options.dict_terms) {
-    std::vector<std::string> sorted_terms;
-    sorted_terms.reserve(term_count);
-    for (uint32_t t : order) sorted_terms.push_back(index.terms()[t]);
-    auto dict = FrontCodedDict::Build(sorted_terms);
-    if (!dict.ok()) return dict.status();
-    dict->Serialize(&sidecar);
-  }
+  std::vector<std::string> sorted_terms;
+  sorted_terms.reserve(term_count);
+  for (uint32_t t : order) sorted_terms.push_back(index.terms()[t]);
+  auto dict = FrontCodedDict::Build(sorted_terms);
+  if (!dict.ok()) return dict.status();
+  dict->Serialize(&sidecar);
   if (write_dag) {
     catalog->Serialize(&sidecar);
     varint::PutU32(&sidecar, dag_term_count);
@@ -517,8 +372,9 @@ Status DiskIndexWriter::Write(const JDeweyIndex& index, const std::string& path,
   s = writer.Finish();
   if (!s.ok()) return s;
 
-  // v3 is always checksummed — the sidecar redefines how columns decode,
-  // so it never ships without page CRCs.
+  // Checksum table: one fixed32 CRC per data page. Its own pages are
+  // appended directly (not through BlobWriter — they must not alter the
+  // table they carry) and are covered by table_crc instead.
   const std::vector<uint32_t>& crcs = writer.page_crcs();
   std::string table;
   table.reserve(crcs.size() * 4);
@@ -534,9 +390,8 @@ Status DiskIndexWriter::Write(const JDeweyIndex& index, const std::string& path,
   }
   if (table.empty()) table_extent.start_page = 0;
 
-  std::string footer;
-  footer.assign(kMagicV2, sizeof(kMagicV2));
-  varint::PutU32(&footer, kFormatVersionV3);
+  std::string footer(kMagic, sizeof(kMagic));
+  varint::PutU32(&footer, kFormatVersion);
   PutExtent(&footer, dir_extent);
   PutExtent(&footer, table_extent);
   PutExtent(&footer, sidecar_extent);
@@ -550,13 +405,12 @@ Status DiskIndexWriter::Write(const JDeweyIndex& index, const std::string& path,
   s = file.Close();
   if (!s.ok()) return s;
 
-  if (index.has_stats()) {
-    // Compressed segments get the dictionary-encoded (v3) manifest; Load
-    // reads every version, so mixing manifest versions across a
-    // segmented index is fine.
-    ManifestFromSegment(index).SaveV3(path + ".manifest").ok();
-  }
-  return Status::Ok();
+  // The manifest is the image's companion: Write is its one writer, so a
+  // sealed segment's covered-node count lands in the same file the
+  // planner statistics do.
+  SegmentManifest manifest = ManifestFromSegment(index);
+  manifest.covered_nodes = covered_nodes;
+  return manifest.Save(path + ".manifest");
 }
 
 StatusOr<std::shared_ptr<DiskIndexEnv>> DiskIndexEnv::Open(
@@ -587,7 +441,7 @@ StatusOr<std::shared_ptr<DiskIndexEnv>> DiskIndexEnv::Open(
     env->skip_enabled_ = false;
   }
 
-  // Footer: read + parse inside the retry loop, since a v2 footer's CRC
+  // Footer: read + parse inside the retry loop, since a footer CRC
   // mismatch means the *read* was damaged (parse failure alone cannot
   // distinguish damaged-in-flight from damaged-on-disk).
   FooterInfo footer_info;
@@ -600,71 +454,61 @@ StatusOr<std::shared_ptr<DiskIndexEnv>> DiskIndexEnv::Open(
     RetryBackoff(attempt, options.retry_backoff_us);
   }
 
-  if (footer_info.version >= 2) {
-    XTOPK_COUNTER("storage.checksum.segments_v2").Add(1);
-    if (options.verify_checksums) {
-      // Checksum table: read raw (its pages are covered by table_crc,
-      // not by the table itself), verify, then arm the pool's verifier
-      // so every later physical page read is checked before caching.
-      for (uint32_t attempt = 0;; ++attempt) {
-        std::string table;
-        s = env->ReadBlobUnpooled(footer_info.table_extent, &table);
-        if (s.ok() && crc32c::Compute(table) != footer_info.table_crc) {
-          XTOPK_COUNTER("storage.checksum.mismatches").Add(1);
-          s = Status::Corruption("disk index: checksum table damaged");
-        }
-        if (s.ok() && table.size() != footer_info.data_page_count * 4ull) {
-          s = Status::Corruption("disk index: checksum table size mismatch");
-        }
-        if (s.ok()) {
-          env->page_crcs_.resize(footer_info.data_page_count);
-          size_t pos = 0;
-          for (uint32_t p = 0; p < footer_info.data_page_count; ++p) {
-            s = ser::GetFixed32(table, &pos, &env->page_crcs_[p]);
-            if (!s.ok()) break;
-          }
-        }
-        if (s.ok()) break;
-        env->page_crcs_.clear();
-        if (attempt >= options.io_retries || !RetryableRead(s)) return s;
-        RetryBackoff(attempt, options.retry_backoff_us);
+  // Checksum table: read raw (its pages are covered by table_crc, not by
+  // the table itself), verify, then arm the pool's verifier so every later
+  // physical page read is checked before caching.
+  XTOPK_COUNTER("storage.checksum.segments_v2").Add(1);
+  for (uint32_t attempt = 0;; ++attempt) {
+    std::string table;
+    s = env->ReadBlobUnpooled(footer_info.table_extent, &table);
+    if (s.ok() && crc32c::Compute(table) != footer_info.table_crc) {
+      XTOPK_COUNTER("storage.checksum.mismatches").Add(1);
+      s = Status::Corruption("disk index: checksum table damaged");
+    }
+    if (s.ok() && table.size() != footer_info.data_page_count * 4ull) {
+      s = Status::Corruption("disk index: checksum table size mismatch");
+    }
+    if (s.ok()) {
+      env->page_crcs_.resize(footer_info.data_page_count);
+      size_t pos = 0;
+      for (uint32_t p = 0; p < footer_info.data_page_count; ++p) {
+        s = ser::GetFixed32(table, &pos, &env->page_crcs_[p]);
+        if (!s.ok()) break;
       }
-      DiskIndexEnv* raw = env.get();  // pool_ is owned by env
-      env->pool_->SetVerifier([raw](PageId id, const std::string& page) {
-        return raw->VerifyPage(id, page);
-      });
     }
-  } else {
-    // Pre-checksum segment: readable, but nothing to verify against.
-    XTOPK_COUNTER("storage.checksum.legacy_segments").Add(1);
+    if (s.ok()) break;
+    env->page_crcs_.clear();
+    if (attempt >= options.io_retries || !RetryableRead(s)) return s;
+    RetryBackoff(attempt, options.retry_backoff_us);
   }
+  DiskIndexEnv* raw = env.get();  // pool_ is owned by env
+  env->pool_->SetVerifier([raw](PageId id, const std::string& page) {
+    return raw->VerifyPage(id, page);
+  });
 
-  // v3 compression sidecar, part 1: the flags byte and term dictionary
-  // must be parsed before the directory (they decide whether directory
-  // entries carry inline names); the DAG section needs the directory's
-  // max_level and term count, so its parse resumes below.
+  // Sidecar, part 1: the flags byte and term dictionary come before the
+  // directory (a directory entry's position is its dictionary code); the
+  // DAG section needs the directory's max_level and term count, so its
+  // parse resumes below.
   std::string sidecar;
-  size_t sidecar_pos = 0;
-  bool dict_terms = false, has_dag = false;
-  if (footer_info.version >= kFormatVersionV3) {
-    s = env->ReadBlob(footer_info.sidecar_extent, &sidecar);
-    if (!s.ok()) return s;
-    if (sidecar.empty()) {
-      return Status::Corruption("disk index: empty compression sidecar");
-    }
-    uint8_t flags = static_cast<uint8_t>(sidecar[sidecar_pos++]);
-    if ((flags & ~(kSidecarDictTerms | kSidecarDag | kSidecarDictRows)) != 0) {
-      return Status::Corruption("disk index: unknown sidecar flags");
-    }
-    dict_terms = (flags & kSidecarDictTerms) != 0;
-    has_dag = (flags & kSidecarDag) != 0;
-    env->dict_rows_ = (flags & kSidecarDictRows) != 0;
-    if (dict_terms) {
-      auto dict = FrontCodedDict::Deserialize(sidecar, &sidecar_pos);
-      if (!dict.ok()) return dict.status();
-      env->term_dict_ = std::move(*dict);
-    }
+  s = env->ReadBlob(footer_info.sidecar_extent, &sidecar);
+  if (!s.ok()) return s;
+  if (sidecar.empty()) {
+    return Status::Corruption("disk index: empty sidecar");
   }
+  size_t sidecar_pos = 0;
+  const uint8_t flags = static_cast<uint8_t>(sidecar[sidecar_pos++]);
+  if ((flags & ~(kSidecarDictTerms | kSidecarDag | kSidecarDictRows)) != 0) {
+    return Status::Corruption("disk index: unknown sidecar flags");
+  }
+  if ((flags & kSidecarDictTerms) == 0) {
+    return Status::Corruption("disk index: sidecar lacks the term dictionary");
+  }
+  const bool has_dag = (flags & kSidecarDag) != 0;
+  env->dict_rows_ = (flags & kSidecarDictRows) != 0;
+  auto dict = FrontCodedDict::Deserialize(sidecar, &sidecar_pos);
+  if (!dict.ok()) return dict.status();
+  env->term_dict_ = std::move(*dict);
 
   std::string directory;
   s = env->ReadBlob(footer_info.dir_extent, &directory);
@@ -678,17 +522,13 @@ StatusOr<std::shared_ptr<DiskIndexEnv>> DiskIndexEnv::Open(
   if (s.ok()) s = varint::GetU32(directory, &pos, &term_count);
   if (!s.ok()) return s;
   *IndexIoAccess::MaxLevel(&env->node_map_) = max_level;
-  if (dict_terms && env->term_dict_.size() != term_count) {
+  if (env->term_dict_.size() != term_count) {
     return Status::Corruption("disk index: term dictionary size mismatch");
   }
 
+  env->directory_.resize(term_count);
   for (uint32_t t = 0; t < term_count; ++t) {
-    std::string term;
-    if (!dict_terms) {
-      s = ser::GetLengthPrefixed(directory, &pos, &term);
-      if (!s.ok()) return s;
-    }
-    TermInfo info;
+    TermInfo& info = env->directory_[t];  // code == term id == t
     info.term_id = t;
     s = varint::GetU32(directory, &pos, &info.rows);
     if (s.ok()) s = varint::GetU32(directory, &pos, &info.max_length);
@@ -700,14 +540,9 @@ StatusOr<std::shared_ptr<DiskIndexEnv>> DiskIndexEnv::Open(
       s = GetExtent(directory, &pos, &info.columns[l]);
       if (!s.ok()) return s;
     }
-    if (dict_terms) {
-      env->dict_dir_.push_back(std::move(info));  // code == term id == t
-    } else {
-      env->directory_.emplace(std::move(term), std::move(info));
-    }
   }
 
-  // v3 sidecar, part 2: DAG catalog + per-term expansion metadata,
+  // Sidecar, part 2: DAG catalog + per-term expansion metadata,
   // validated against the directory before anything trusts it.
   if (has_dag) {
     auto catalog = DagCatalog::Deserialize(sidecar, &sidecar_pos, max_level);
@@ -728,16 +563,7 @@ StatusOr<std::shared_ptr<DiskIndexEnv>> DiskIndexEnv::Open(
       if (term_id >= term_count || env->dag_meta_[term_id] != nullptr) {
         return Status::Corruption("disk index: sidecar dag term id");
       }
-      uint32_t expected_levels = 0;
-      if (dict_terms) {
-        expected_levels = env->dict_dir_[term_id].max_length;
-      } else {
-        // Uncompressed term space: find the entry with this id.
-        for (const auto& [name, ti] : env->directory_) {
-          if (ti.term_id == term_id) expected_levels = ti.max_length;
-        }
-      }
-      if (levels != expected_levels) {
+      if (levels != env->directory_[term_id].max_length) {
         return Status::Corruption("disk index: sidecar dag level count");
       }
       auto meta = std::make_unique<DagTermMeta>();
@@ -788,8 +614,7 @@ StatusOr<std::shared_ptr<DiskIndexEnv>> DiskIndexEnv::Open(
       env->dag_meta_[term_id] = std::move(meta);
     }
   }
-  if (footer_info.version >= kFormatVersionV3 &&
-      sidecar_pos != sidecar.size()) {
+  if (sidecar_pos != sidecar.size()) {
     return Status::Corruption("disk index: sidecar trailing bytes");
   }
 
@@ -826,33 +651,17 @@ StatusOr<std::shared_ptr<DiskIndexEnv>> DiskIndexEnv::Open(
     }
   }
 
-  // Planner-statistics sidecar: lenient on purpose. A missing, damaged,
-  // or histogram-less (v1) manifest costs plan quality, never the Open —
-  // queries then run on Frequency-based estimates.
-  if (StatusOr<SegmentManifest> sidecar =
-          SegmentManifest::Load(path + ".manifest");
-      sidecar.ok()) {
-    for (SegmentTermStats& t : sidecar->terms) {
-      if (t.levels.empty()) continue;
-      const TermInfo* info = env->FindTerm(t.term);
-      if (info == nullptr) continue;
-      TermStats stats;
-      stats.rows = info->rows;  // directory is authoritative
-      stats.levels = std::move(t.levels);
-      env->term_stats_.emplace(t.term, std::move(stats));
-    }
-  }
+  // The manifest: lenient on purpose. A missing or damaged one costs plan
+  // quality here, never the Open — queries then run on Frequency-based
+  // estimates. SealedSegment, which needs it, checks manifest() itself.
+  env->manifest_ = SegmentManifest::Load(path + ".manifest");
   return env;
 }
 
 const DiskIndexEnv::TermInfo* DiskIndexEnv::FindTerm(
     const std::string& term) const {
-  if (!dict_dir_.empty()) {
-    uint32_t code = term_dict_.Lookup(term);
-    return code == FrontCodedDict::kNotFound ? nullptr : &dict_dir_[code];
-  }
-  auto it = directory_.find(term);
-  return it == directory_.end() ? nullptr : &it->second;
+  uint32_t code = term_dict_.Lookup(term);
+  return code == FrontCodedDict::kNotFound ? nullptr : &directory_[code];
 }
 
 std::unique_ptr<DiskJDeweyIndex> DiskIndexEnv::NewSession() {
@@ -941,8 +750,17 @@ uint32_t DiskIndexEnv::MaxLength(const std::string& term) const {
 }
 
 const TermStats* DiskIndexEnv::Stats(const std::string& term) const {
-  auto it = term_stats_.find(term);
-  return it == term_stats_.end() ? nullptr : &it->second;
+  if (!manifest_.ok()) return nullptr;
+  const std::vector<SegmentTermStats>& terms = manifest_->terms;
+  auto it = std::lower_bound(
+      terms.begin(), terms.end(), term,
+      [](const SegmentTermStats& a, const std::string& t) {
+        return a.term < t;
+      });
+  if (it == terms.end() || it->term != term || !it->has_histograms()) {
+    return nullptr;
+  }
+  return &*it;
 }
 
 DiskIoStats DiskIndexEnv::io_stats() const {
@@ -1037,7 +855,7 @@ Status DiskJDeweyIndex::MaterializeBase(const std::string& term,
                                        std::move(lengths)));
   }
 
-  // v3 DAG term: hang the (session-local) expansion companion off the
+  // DAG term: hang the (session-local) expansion companion off the
   // list now; its dedup columns flip on as MaterializeColumns loads them.
   if (info.term_id < env_->dag_meta_.size() &&
       env_->dag_meta_[info.term_id] != nullptr) {
@@ -1182,7 +1000,7 @@ Status DiskJDeweyIndex::MaterializeColumns(
     // Skip path: group-varint columns with bounds materialize only the
     // physical blocks whose value range can intersect them, assembled
     // from per-block cache fragments where possible. A block whose skip
-    // directory or payload turns out damaged degrades to the full legacy
+    // directory or payload turns out damaged degrades to the full
     // decode below (which re-validates the whole blob) instead of
     // failing the load outright.
     GvbColumnReader reader;
@@ -1215,8 +1033,8 @@ Status DiskJDeweyIndex::MaterializeColumns(
         }
         // AppendRunChecked re-merges a run split across a block boundary
         // and catches fragments that are individually valid but
-        // non-monotonic across the boundary (a damaged skip directory on
-        // a legacy segment) — those degrade to the full decode too.
+        // non-monotonic across the boundary (a skip directory damaged in
+        // flight) — those degrade to the full decode too.
         for (const Run& run : fragment->runs()) {
           if (!column.AppendRunChecked(run.first_row, run.value, run.count)) {
             XTOPK_COUNTER("storage.degraded.full_decode_fallbacks").Add(1);
@@ -1244,7 +1062,7 @@ Status DiskJDeweyIndex::MaterializeColumns(
       }
     }
 
-    // Full decode: no bounds, or a non-group-varint (legacy delta / RLE)
+    // Full decode: no bounds, or a non-group-varint (delta / RLE)
     // column. Also the upgrade path from partial to full coverage.
     size_t pos = 0;
     Column column;

@@ -18,6 +18,7 @@
 #include "storage/decoded_cache.h"
 #include "storage/dictionary.h"
 #include "storage/page_file.h"
+#include "storage/segment_manifest.h"
 #include "util/status.h"
 
 namespace xtopk {
@@ -31,70 +32,52 @@ struct BlobExtent {
   uint64_t length = 0;
 };
 
-/// Writes a JDeweyIndex into the paged on-disk layout:
+/// Per-file flags of the on-disk image. Each is a win that depends on the
+/// data, so the image records it in its sidecar flags byte.
+struct DiskImageOptions {
+  /// Persist per-row local scores (the top-K rebuild needs them; Table I's
+  /// join-based configuration writes without).
+  bool include_scores = true;
+  /// Persist DAG-deduplicated columns (kDict codec) plus the catalog and
+  /// expansion metadata for every list that carries DagListData. No-op
+  /// when the index was built without enable_dag.
+  bool dag = false;
+  /// Dictionary-encode the per-row length and score streams
+  /// (EncodeDictRows) instead of raw varints / floats.
+  bool dict_rows = false;
+};
+
+/// Writes a JDeweyIndex as the one on-disk image (docs/FORMATS.md):
 ///
-///   data pages:   per term — lengths blob, optional scores blob, then one
-///                 column blob per level (kAuto codec, §III-D); the
-///                 directory blob is the last data blob
+///   data pages:   per term, in sorted term order — lengths blob, optional
+///                 scores blob, then one column blob per level (kAuto
+///                 codec, §III-D); then the node-mapping blob, the sidecar
+///                 blob, and the directory blob last
 ///   checksum table: one CRC32C (fixed32 LE) per data page
-///   footer page:  magic "XTKDISK2", format version, directory extent,
-///                 checksum-table extent, data page count, table CRC,
-///                 footer CRC (over all preceding footer bytes)
+///   footer page:  magic "XTKDISK2", format version 3, directory extent,
+///                 checksum-table extent, sidecar extent, data page count,
+///                 table CRC, footer CRC (over all preceding footer bytes)
 ///
 /// Columns are separate blobs on purpose: a query that starts its scan at
 /// level l0 (§III-B) touches only the pages of columns 1..l0.
 ///
-/// Format version 3 (DESIGN.md §15) adds an optional compression sidecar
-/// blob whose extent sits in the footer between the checksum-table extent
-/// and the data page count: a flags byte, the front-coded term dictionary
-/// (terms then live only there — directory entries drop their inline
-/// names and file term ids become dictionary codes), the subtree-DAG
-/// catalog, and per-term DAG metadata (which levels are stored
-/// deduplicated, plus per-class row deltas). DAG-deduplicated column
-/// blobs are written with the self-contained kDict codec; readers expand
-/// them back to bit-identical full columns through
-/// ExpandDedupColumnChecked. v1/v2 files stay readable, and Write without
-/// compression options keeps emitting v2 (or v1) bytes.
+/// The sidecar (DESIGN.md §15) holds a flags byte, the front-coded term
+/// dictionary (terms live only there — directory entries carry no names
+/// and a term's file id is its dictionary code), and, with the dag flag,
+/// the subtree-DAG catalog plus per-term DAG metadata (which levels are
+/// stored deduplicated, plus per-class row deltas). DAG-deduplicated
+/// column blobs use the self-contained kDict codec; readers expand them
+/// back to bit-identical full columns through ExpandDedupColumnChecked.
 class DiskIndexWriter {
  public:
-  /// `codec` is forwarded to EncodeColumn for every column blob. The
-  /// default (kAuto) picks run-length vs group-varint per column; tests
-  /// pass kDelta to emulate segments written before the group-varint
-  /// codec existed (the codec byte is self-describing, so old segments
-  /// read back without a format version bump).
-  ///
-  /// `write_checksums=false` emits the legacy v1 layout (magic
-  /// "XTKDISK1", no per-page CRCs) — segments written before the
-  /// checksummed format existed. Readers accept both; legacy segments
-  /// load unverified and bump storage.checksum.legacy_segments.
-  static Status Write(const JDeweyIndex& index, bool include_scores,
-                      const std::string& path,
-                      ColumnCodec codec = ColumnCodec::kAuto,
-                      bool write_checksums = true);
+  using Options = DiskImageOptions;
 
-  /// Structure-aware compression knobs of the v3 layout. All off by
-  /// default, in which case Write(…, options) emits exactly the legacy
-  /// v2 (or v1) bytes.
-  struct Options {
-    ColumnCodec codec = ColumnCodec::kAuto;
-    bool include_scores = true;
-    bool write_checksums = true;
-    /// Persist the term space as one front-coded dictionary; directory
-    /// entries are written in sorted term order without inline names.
-    bool dict_terms = false;
-    /// Persist DAG-deduplicated columns (kDict codec) plus the catalog
-    /// and expansion metadata for every list that carries DagListData.
-    /// No-op when the index was built without enable_dag.
-    bool dag = false;
-    /// Dictionary-encode the per-row length and score streams
-    /// (EncodeDictRows) instead of raw varints / floats.
-    bool dict_rows = false;
-
-    bool compressed() const { return dict_terms || dag || dict_rows; }
-  };
-
+  /// Writes the image to `path` and its SegmentManifest (planner
+  /// statistics, per-term rows and max tf) to `path + ".manifest"`.
+  /// `covered_nodes` is recorded in the manifest: the node count a sealed
+  /// segment indexed (0 for a standalone index).
   static Status Write(const JDeweyIndex& index, const std::string& path,
-                      const Options& options);
+                      const Options& options = {}, uint64_t covered_nodes = 0);
 };
 
 /// Options for opening a disk index's shared read substrate.
@@ -111,10 +94,6 @@ struct DiskIndexOptions {
   /// bit-identical either way; the XTOPK_DISABLE_SKIP environment
   /// variable (any value but "0") forces this off at Open for A/B runs.
   bool enable_skip = true;
-  /// Verify the per-page CRC32C of v2 segments on every physical page
-  /// read (cached hits are not re-verified). Legacy v1 segments have no
-  /// checksums and always load unverified.
-  bool verify_checksums = true;
   /// Bounded retry of failed physical reads (transient I/O errors and
   /// checksum mismatches both retry — in-flight damage is transient; true
   /// on-disk corruption just exhausts the attempts and surfaces as the
@@ -141,14 +120,17 @@ struct DiskIoStats {
 
 /// The shared, thread-safe read substrate of one on-disk index: the page
 /// file (pread-based reads), the sharded BufferPool above it, the
-/// DecodedBlockCache above that, and the immutable directory + node
-/// mapping loaded at Open. Any number of DiskJDeweyIndex sessions — one
-/// per concurrently running query or worker thread — read through one
-/// environment, so hot pages and decoded columns are shared across
-/// queries while per-query materialization state stays private.
+/// DecodedBlockCache above that, and the immutable directory, node
+/// mapping and manifest loaded at Open. Every physical page read is
+/// verified against the image's CRC32C table before the pool caches it.
+/// Any number of DiskJDeweyIndex sessions — one per concurrently running
+/// query or worker thread — read through one environment, so hot pages
+/// and decoded columns are shared across queries while per-query
+/// materialization state stays private.
 class DiskIndexEnv : public std::enable_shared_from_this<DiskIndexEnv> {
  public:
-  /// Opens `path`, loading footer + directory (+ node mapping).
+  /// Opens `path`, loading footer + directory + node mapping, and parses
+  /// `path + ".manifest"` once (see manifest()).
   static StatusOr<std::shared_ptr<DiskIndexEnv>> Open(
       const std::string& path, DiskIndexOptions options = {});
 
@@ -161,22 +143,19 @@ class DiskIndexEnv : public std::enable_shared_from_this<DiskIndexEnv> {
   /// Frequency / deepest level from the directory alone (no data I/O).
   uint32_t Frequency(const std::string& term) const;
   uint32_t MaxLength(const std::string& term) const;
-  /// Planner statistics from the optional `<path>.manifest` sidecar;
-  /// nullptr when the sidecar is absent, damaged, or has no histograms
-  /// for `term`. The sidecar is advisory — a missing or corrupt one never
-  /// fails Open, it only costs plan quality.
+  /// Planner statistics from the manifest; nullptr when the manifest is
+  /// absent, damaged, or has no histograms for `term`. The manifest is
+  /// advisory here — a missing or corrupt one never fails Open, it only
+  /// costs plan quality.
   const TermStats* Stats(const std::string& term) const;
-  size_t term_count() const {
-    return dict_dir_.empty() ? directory_.size() : dict_dir_.size();
-  }
+  /// The `<path>.manifest` parsed at Open, or why it could not be loaded
+  /// (SealedSegment requires it; standalone readers only plan from it).
+  const StatusOr<SegmentManifest>& manifest() const { return manifest_; }
+  size_t term_count() const { return directory_.size(); }
   bool has_scores() const { return has_scores_; }
   /// Whether sessions may skip-decode (options.enable_skip, unless the
   /// XTOPK_DISABLE_SKIP environment variable overrode it at Open).
   bool skip_enabled() const { return skip_enabled_; }
-  /// Whether this segment carries per-page checksums (v2 format) and the
-  /// environment verifies them on physical reads.
-  bool checksums_verified() const { return !page_crcs_.empty(); }
-
   /// The segment's (level, value) -> node mapping / deepest level, from
   /// the node map loaded at Open. Immutable, so safe from any thread
   /// without a session (SegmentSetVersion resolves nodes through these).
@@ -196,7 +175,7 @@ class DiskIndexEnv : public std::enable_shared_from_this<DiskIndexEnv> {
 
   /// Immutable per-term directory entry (shared across sessions).
   struct TermInfo {
-    uint32_t term_id = 0;  ///< directory order; the decoded-cache column id
+    uint32_t term_id = 0;  ///< dictionary code; the decoded-cache column id
     uint32_t rows = 0;
     uint32_t max_length = 0;
     BlobExtent lengths;
@@ -204,7 +183,7 @@ class DiskIndexEnv : public std::enable_shared_from_this<DiskIndexEnv> {
     std::vector<BlobExtent> columns;  // one per level
   };
 
-  /// v3 sidecar: per-term DAG expansion metadata (which column blobs are
+  /// Sidecar: per-term DAG expansion metadata (which column blobs are
   /// stored deduplicated, and this term's per-class instance row deltas).
   struct DagTermMeta {
     std::vector<char> has_dedup;  ///< index = level - 1
@@ -213,10 +192,8 @@ class DiskIndexEnv : public std::enable_shared_from_this<DiskIndexEnv> {
 
   DiskIndexEnv() = default;
 
-  /// Directory entry of `term` through whichever term space is active —
-  /// the hash map (v1/v2 and uncompressed v3) or the front-coded
-  /// dictionary (v3 with dict_terms, where code == term id). nullptr when
-  /// absent.
+  /// Directory entry of `term` (its dictionary code indexes directory_);
+  /// nullptr when absent.
   const TermInfo* FindTerm(const std::string& term) const;
 
   /// Thread-safe (reads go through the pool / pread). Failed attempts —
@@ -230,7 +207,7 @@ class DiskIndexEnv : public std::enable_shared_from_this<DiskIndexEnv> {
   /// (used for the checksum table, which is covered by the footer's
   /// table CRC rather than by itself).
   Status ReadBlobUnpooled(const BlobExtent& extent, std::string* out);
-  /// The verifier installed on the buffer pool for v2 segments.
+  /// The verifier installed on the buffer pool.
   Status VerifyPage(PageId id, const std::string& page) const;
 
   /// Plain PageFile normally; the fault-injecting wrapper when the
@@ -246,21 +223,17 @@ class DiskIndexEnv : public std::enable_shared_from_this<DiskIndexEnv> {
   /// reports the deltas since then (pages_read excluded — it stays on the
   /// PageFile instance).
   DiskIoStats stats_baseline_;
-  /// v2 segments: CRC32C of each data page, indexed by PageId; empty for
-  /// legacy v1 segments (nothing to verify).
+  /// CRC32C of each data page, indexed by PageId.
   std::vector<uint32_t> page_crcs_;
-  std::unordered_map<std::string, TermInfo> directory_;
-  /// v3 dict_terms segments: the directory keyed by dictionary code
-  /// instead of the hash map above (exactly one of the two is populated).
+  /// The term space and the directory keyed by its codes.
   FrontCodedDict term_dict_;
-  std::vector<TermInfo> dict_dir_;
-  /// v3 compression state (empty / false on v1/v2 segments).
+  std::vector<TermInfo> directory_;
+  /// Sidecar flags and DAG state (false / empty when the flag is off).
   bool dict_rows_ = false;
   std::shared_ptr<const DagCatalog> dag_catalog_;
   std::vector<std::unique_ptr<DagTermMeta>> dag_meta_;  ///< by term id
-  /// Per-term planner statistics from the manifest sidecar (empty when
-  /// none was found). Immutable after Open, so shared across sessions.
-  std::unordered_map<std::string, TermStats> term_stats_;
+  /// Immutable after Open, so shared across sessions.
+  StatusOr<SegmentManifest> manifest_ = Status::NotFound("manifest");
   /// Holds only the (level, value) -> node mapping + max level; sessions
   /// borrow it instead of copying it (it can dominate the directory size).
   JDeweyIndex node_map_;
@@ -378,7 +351,7 @@ class DiskJDeweyIndex : public TermSource {
     uint32_t view_id = UINT32_MAX;
     /// Per-level coverage, index = level - 1 (sized at first load).
     std::vector<LevelCoverage> coverage;
-    /// v3 DAG terms: the session's mutable DagListData (the list holds a
+    /// DAG terms: the session's mutable DagListData (the list holds a
     /// const view of the same object). has_dedup flips on per level as
     /// the deduplicated columns materialize.
     std::shared_ptr<DagListData> dag;

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "index/index_access.h"
-#include "storage/compression.h"
 #include "storage/serializer.h"
 #include "util/varint.h"
 
@@ -11,183 +10,9 @@ namespace xtopk {
 namespace index_io {
 namespace {
 
-constexpr char kMagic[4] = {'X', 'T', 'K', '1'};
 constexpr char kDeweyMagic[4] = {'X', 'T', 'D', '1'};
 
-/// Row ids present in a column of a list with the given row lengths.
-std::vector<uint32_t> PresentRows(const std::vector<uint16_t>& lengths,
-                                  uint32_t level) {
-  std::vector<uint32_t> rows;
-  for (uint32_t row = 0; row < lengths.size(); ++row) {
-    if (lengths[row] >= level) rows.push_back(row);
-  }
-  return rows;
-}
-
 }  // namespace
-
-void EncodeJDeweyIndex(const JDeweyIndex& index, bool include_scores,
-                       std::string* out) {
-  out->append(kMagic, sizeof(kMagic));
-  out->push_back(include_scores ? 1 : 0);
-  varint::PutU32(out, index.max_level());
-  varint::PutU32(out, static_cast<uint32_t>(index.terms().size()));
-  for (size_t t = 0; t < index.terms().size(); ++t) {
-    const JDeweyList& list = index.lists()[t];
-    ser::PutLengthPrefixed(out, index.terms()[t]);
-    varint::PutU32(out, list.num_rows());
-    varint::PutU32(out, list.max_length);
-    for (uint16_t len : list.lengths) varint::PutU32(out, len);
-    if (include_scores) {
-      for (float s : list.scores) ser::PutFloat(out, s);
-    }
-    varint::PutU32(out, static_cast<uint32_t>(list.columns.size()));
-    for (const Column& column : list.columns) {
-      EncodeColumn(column, ColumnCodec::kAuto, out);
-    }
-  }
-  const auto& level_nodes = IndexIoAccess::LevelNodes(index);
-  varint::PutU32(out, static_cast<uint32_t>(level_nodes.size()));
-  for (const auto& level : level_nodes) {
-    varint::PutU32(out, static_cast<uint32_t>(level.size()));
-    uint32_t prev_value = 0;
-    int64_t prev_node = 0;
-    for (const auto& [value, node] : level) {
-      varint::PutU32(out, value - prev_value);
-      varint::PutS64(out, static_cast<int64_t>(node) - prev_node);
-      prev_value = value;
-      prev_node = static_cast<int64_t>(node);
-    }
-  }
-}
-
-Status DecodeJDeweyIndex(const std::string& data, JDeweyIndex* out) {
-  size_t pos = 0;
-  if (data.size() < 5 || std::memcmp(data.data(), kMagic, 4) != 0) {
-    return Status::Corruption("jdewey index: bad magic");
-  }
-  pos = 4;
-  bool has_scores = data[pos++] != 0;
-  uint32_t max_level = 0, term_count = 0;
-  Status s = varint::GetU32(data, &pos, &max_level);
-  if (s.ok()) s = varint::GetU32(data, &pos, &term_count);
-  if (!s.ok()) return s;
-  *IndexIoAccess::MaxLevel(out) = max_level;
-
-  auto* terms = IndexIoAccess::Terms(out);
-  auto* term_ids = IndexIoAccess::TermIds(out);
-  auto* lists = IndexIoAccess::Lists(out);
-  terms->clear();
-  term_ids->clear();
-  lists->clear();
-  lists->resize(term_count);
-  terms->resize(term_count);
-  for (uint32_t t = 0; t < term_count; ++t) {
-    JDeweyList& list = (*lists)[t];
-    s = ser::GetLengthPrefixed(data, &pos, &(*terms)[t]);
-    if (!s.ok()) return s;
-    term_ids->emplace((*terms)[t], t);
-    uint32_t rows = 0, max_length = 0;
-    s = varint::GetU32(data, &pos, &rows);
-    if (s.ok()) s = varint::GetU32(data, &pos, &max_length);
-    if (!s.ok()) return s;
-    list.max_length = max_length;
-    list.lengths.resize(rows);
-    if (max_length > UINT16_MAX) {
-      return Status::Corruption("jdewey index: bad max length");
-    }
-    for (uint32_t r = 0; r < rows; ++r) {
-      uint32_t len = 0;
-      s = varint::GetU32(data, &pos, &len);
-      if (!s.ok()) return s;
-      if (len == 0 || len > max_length) {
-        return Status::Corruption("jdewey index: bad row length");
-      }
-      list.lengths[r] = static_cast<uint16_t>(len);
-    }
-    list.scores.assign(rows, 0.0f);
-    if (has_scores) {
-      for (uint32_t r = 0; r < rows; ++r) {
-        s = ser::GetFloat(data, &pos, &list.scores[r]);
-        if (!s.ok()) return s;
-      }
-    }
-    uint32_t column_count = 0;
-    s = varint::GetU32(data, &pos, &column_count);
-    if (!s.ok()) return s;
-    if (column_count != max_length) {
-      return Status::Corruption("jdewey index: column count mismatch");
-    }
-    list.columns.resize(column_count);
-    for (uint32_t level = 1; level <= column_count; ++level) {
-      std::vector<uint32_t> present = PresentRows(list.lengths, level);
-      s = DecodeColumn(data, &pos, &present, &list.columns[level - 1]);
-      if (!s.ok()) return s;
-    }
-  }
-
-  uint32_t level_count = 0;
-  s = varint::GetU32(data, &pos, &level_count);
-  if (!s.ok()) return s;
-  auto* level_nodes = IndexIoAccess::LevelNodes(out);
-  level_nodes->clear();
-  level_nodes->resize(level_count);
-  for (uint32_t l = 0; l < level_count; ++l) {
-    uint32_t entries = 0;
-    s = varint::GetU32(data, &pos, &entries);
-    if (!s.ok()) return s;
-    uint32_t prev_value = 0;
-    int64_t prev_node = 0;
-    auto& level = (*level_nodes)[l];
-    level.reserve(entries);
-    for (uint32_t e = 0; e < entries; ++e) {
-      uint32_t dv = 0;
-      int64_t dn = 0;
-      s = varint::GetU32(data, &pos, &dv);
-      if (s.ok()) s = varint::GetS64(data, &pos, &dn);
-      if (!s.ok()) return s;
-      prev_value += dv;
-      prev_node += dn;
-      level.emplace_back(prev_value, static_cast<NodeId>(prev_node));
-    }
-  }
-
-  // Reconstruct per-row occurrence nodes from the level-node mapping: a
-  // row's node sits at (row length, value of its deepest component).
-  for (JDeweyList& list : *lists) {
-    list.nodes.resize(list.num_rows());
-    for (uint32_t row = 0; row < list.num_rows(); ++row) {
-      uint32_t level = list.lengths[row];
-      const Run* run = list.columns[level - 1].FindRow(row);
-      if (run == nullptr) {
-        return Status::Corruption("jdewey index: row missing own component");
-      }
-      NodeId node = out->NodeAt(level, run->value);
-      if (node == kInvalidNode) {
-        return Status::Corruption("jdewey index: unresolvable occurrence");
-      }
-      list.nodes[row] = node;
-    }
-  }
-  return Status::Ok();
-}
-
-Status SaveJDeweyIndex(const JDeweyIndex& index, bool include_scores,
-                       const std::string& path) {
-  std::string buf;
-  EncodeJDeweyIndex(index, include_scores, &buf);
-  return ser::WriteFile(path, buf);
-}
-
-StatusOr<JDeweyIndex> LoadJDeweyIndex(const std::string& path) {
-  std::string buf;
-  Status s = ser::ReadFile(path, &buf);
-  if (!s.ok()) return s;
-  JDeweyIndex index;
-  s = DecodeJDeweyIndex(buf, &index);
-  if (!s.ok()) return s;
-  return index;
-}
 
 void EncodeDeweyIndex(const DeweyIndex& index, std::string* out) {
   out->append(kDeweyMagic, sizeof(kDeweyMagic));

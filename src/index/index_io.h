@@ -4,43 +4,16 @@
 #include <string>
 
 #include "index/dewey_index.h"
-#include "index/jdewey_index.h"
 #include "util/status.h"
 
 namespace xtopk {
 
-/// On-disk persistence for the two primary index families. The JDewey
-/// format is the paper's physical design: per term, the row lengths (which
-/// double as the present-row map of every column), optional per-row local
-/// scores, then each column under its kAuto codec — delta columns store
-/// values only because the lengths vector reconstructs their rows. The
-/// (level, value) -> node mapping is stored per level, delta-encoded.
-///
-/// Format (all varints unless noted):
-///   magic "XTK1", flags byte (bit0: scores present)
-///   max_level, term_count
-///   per term: name (length-prefixed), row count, max_length,
-///             lengths[,] , [scores (f32 each)], column count, columns
-///   level_nodes: level count, per level: entry count, (value delta,
-///                node delta) pairs
-namespace index_io {
-
-/// Serializes `index` (optionally with local scores, which the top-K index
-/// rebuild requires).
-void EncodeJDeweyIndex(const JDeweyIndex& index, bool include_scores,
-                       std::string* out);
-
-/// Inverse of EncodeJDeweyIndex. Occurrence NodeIds are reconstructed from
-/// the level-node mapping.
-Status DecodeJDeweyIndex(const std::string& data, JDeweyIndex* out);
-
-Status SaveJDeweyIndex(const JDeweyIndex& index, bool include_scores,
-                       const std::string& path);
-StatusOr<JDeweyIndex> LoadJDeweyIndex(const std::string& path);
-
 /// Dewey-index persistence with the prefix+varint compression of
 /// Xu & Papakonstantinou (the "stack-based" rows of Table I measure this
-/// encoding's real bytes).
+/// encoding's real bytes). Format "XTD1" (docs/FORMATS.md). JDewey indexes
+/// persist as the paged disk image (index/disk_index.h).
+namespace index_io {
+
 void EncodeDeweyIndex(const DeweyIndex& index, std::string* out);
 Status DecodeDeweyIndex(const std::string& data, DeweyIndex* out);
 

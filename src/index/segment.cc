@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "index/segment_builder.h"
 #include "obs/metrics.h"
 
 namespace xtopk {
@@ -144,11 +143,7 @@ Status SegmentedIndex::Compact(const std::string& path,
       BuildCompactedSegment(pinned->sealed(), &covered);
   if (!merged.ok()) return merged.status();
 
-  Status s = DiskIndexWriter::Write(*merged, /*include_scores=*/true, path);
-  if (!s.ok()) return s;
-  SegmentManifest manifest = ManifestFromSegment(*merged);
-  manifest.covered_nodes = covered;
-  s = manifest.Save(path + ".manifest");
+  Status s = DiskIndexWriter::Write(*merged, path, {}, covered);
   if (!s.ok()) return s;
 
   StatusOr<std::shared_ptr<const SealedSegment>> output =

@@ -47,16 +47,15 @@ std::shared_ptr<const SealedSegment> SealedSegment::FromMemory(
 
 StatusOr<std::shared_ptr<const SealedSegment>> SealedSegment::FromDisk(
     const std::string& path, DiskIndexOptions options, uint64_t id) {
-  StatusOr<SegmentManifest> manifest =
-      SegmentManifest::Load(path + ".manifest");
-  if (!manifest.ok()) return manifest.status();
   StatusOr<std::shared_ptr<DiskIndexEnv>> env =
       DiskIndexEnv::Open(path, options);
   if (!env.ok()) return env.status();
+  // The environment parsed the manifest once; a sealed segment cannot
+  // serve without it (its stats feed the corpus-wide normalization).
+  if (!(*env)->manifest().ok()) return (*env)->manifest().status();
   auto sealed = std::shared_ptr<SealedSegment>(new SealedSegment());
   sealed->env_ = *env;
-  sealed->manifest_ = std::move(*manifest);
-  sealed->stats_ = StatsOf(sealed->manifest_);
+  sealed->stats_ = StatsOf(sealed->manifest());
   sealed->id_ = id;
   sealed->path_ = path;
   sealed->data_bytes_ = FileBytes(path);
@@ -144,10 +143,7 @@ const TermStats* SegmentSetVersion::Stats(const std::string& term) const {
           return a.term < t;
         });
     if (it == terms.end() || it->term != term || it->rows == 0) continue;
-    TermStats part;
-    part.rows = it->rows;
-    part.levels = it->levels;  // empty for v1 manifests -> rows only
-    merged.Merge(part, kMergedStatsBuckets);
+    merged.Merge(*it, kMergedStatsBuckets);
   }
   if (memtable_ != nullptr && memtable_->Frequency(term) > 0) {
     const TermStats* mt = memtable_->StatsOf(term);

@@ -50,7 +50,11 @@ class SealedSegment {
   bool is_memory() const { return memory_ != nullptr; }
   const JDeweyIndex* memory() const { return memory_.get(); }
   const std::shared_ptr<DiskIndexEnv>& env() const { return env_; }
-  const SegmentManifest& manifest() const { return manifest_; }
+  /// The segment's manifest: a memory segment's own, or the one its disk
+  /// environment parsed at Open (one copy, one parse).
+  const SegmentManifest& manifest() const {
+    return env_ != nullptr ? *env_->manifest() : manifest_;
+  }
   /// term -> (rows, max_tf), the lookup form of the manifest.
   const std::unordered_map<std::string, std::pair<uint32_t, uint32_t>>&
   stats() const {
@@ -83,7 +87,7 @@ class SealedSegment {
 
   std::unique_ptr<const JDeweyIndex> memory_;
   std::shared_ptr<DiskIndexEnv> env_;
-  SegmentManifest manifest_;
+  SegmentManifest manifest_;  ///< memory segments only
   std::unordered_map<std::string, std::pair<uint32_t, uint32_t>> stats_;
   uint64_t id_ = 0;
   std::string path_;

@@ -67,7 +67,7 @@ class TopKIndex {
 
 /// Derives the score-ordered top-K index from a JDeweyIndex alone — the
 /// segments are a permutation of the base rows, so no tree or builder
-/// state is needed. This is how a persisted index (index_io / disk_index,
+/// state is needed. This is how a persisted index (the disk image,
 /// stored with scores) becomes top-K queryable after loading. `base` must
 /// outlive the result.
 TopKIndex BuildTopKIndexFrom(const JDeweyIndex& base);

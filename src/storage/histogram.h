@@ -42,7 +42,7 @@ class LevelHistogram {
   /// a histogram of <= max_buckets distinct values is exact.
   static LevelHistogram FromColumn(const Column& column, size_t max_buckets);
 
-  /// Reconstructs a histogram from persisted buckets (manifest v2 load).
+  /// Reconstructs a histogram from persisted buckets (manifest load).
   /// Returns false (leaving the histogram empty) when the buckets violate
   /// the invariants: ascending, disjoint, non-negative counts.
   bool AssignChecked(std::vector<Bucket> buckets);
@@ -77,7 +77,8 @@ class LevelHistogram {
 /// Per-term statistics carried by an index or aggregated across segments:
 /// the list's row count plus one histogram per JDewey level (levels[l-1]
 /// describes level l). `levels` may be empty — "rows only" — when any
-/// contributing segment predates histogram manifests (v1); the planner
+/// contributing part carries no histograms (an index built with
+/// stats_buckets = 0, such as a memtable without statistics); the planner
 /// then degrades to size-based estimates for that term.
 struct TermStats {
   uint32_t rows = 0;

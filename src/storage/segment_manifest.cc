@@ -11,9 +11,7 @@
 namespace xtopk {
 
 namespace {
-constexpr char kMagicV1[] = "XTKSMAN1";
-constexpr char kMagicV2[] = "XTKSMAN2";
-constexpr char kMagicV3[] = "XTKSMAN3";
+constexpr char kMagic[] = "XTKSMAN3";
 constexpr size_t kMagicLen = 8;
 
 void PutFixed32(std::string* out, uint32_t value) {
@@ -86,37 +84,9 @@ Status WriteBuffer(const std::string& buf, const std::string& path) {
   return Status::Ok();
 }
 
-Status SaveImpl(const SegmentManifest& manifest, const std::string& path,
-                bool with_histograms) {
-  std::string buf(with_histograms ? kMagicV2 : kMagicV1, kMagicLen);
-  varint::PutU64(&buf, manifest.covered_nodes);
-  varint::PutU64(&buf, manifest.terms.size());
-  for (const SegmentTermStats& t : manifest.terms) {
-    varint::PutU64(&buf, t.term.size());
-    buf.append(t.term);
-    varint::PutU32(&buf, t.rows);
-    varint::PutU32(&buf, t.max_tf);
-    if (with_histograms) {
-      varint::PutU64(&buf, t.levels.size());
-      for (const LevelHistogram& hist : t.levels) {
-        PutHistogram(&buf, hist);
-      }
-    }
-  }
-  PutFixed32(&buf, crc32c::Compute(buf));
-  return WriteBuffer(buf, path);
-}
 }  // namespace
 
 Status SegmentManifest::Save(const std::string& path) const {
-  return SaveImpl(*this, path, /*with_histograms=*/true);
-}
-
-Status SegmentManifest::SaveV1(const std::string& path) const {
-  return SaveImpl(*this, path, /*with_histograms=*/false);
-}
-
-Status SegmentManifest::SaveV3(const std::string& path) const {
   // Term order in the file is dictionary-code order (sorted); `terms` is
   // sorted by convention, but re-derive the order so the writer never
   // depends on it.
@@ -131,7 +101,7 @@ Status SegmentManifest::SaveV3(const std::string& path) const {
   auto dict = FrontCodedDict::Build(names);
   if (!dict.ok()) return dict.status();
 
-  std::string buf(kMagicV3, kMagicLen);
+  std::string buf(kMagic, kMagicLen);
   varint::PutU64(&buf, covered_nodes);
   varint::PutU64(&buf, terms.size());
   dict->Serialize(&buf);
@@ -159,12 +129,7 @@ StatusOr<SegmentManifest> SegmentManifest::Load(const std::string& path) {
   }
   std::fclose(f);
 
-  if (buf.size() < kMagicLen + 4) {
-    return Status::Corruption("bad manifest magic: " + path);
-  }
-  bool v2 = buf.compare(0, kMagicLen, kMagicV2) == 0;
-  bool v3 = buf.compare(0, kMagicLen, kMagicV3) == 0;
-  if (!v2 && !v3 && buf.compare(0, kMagicLen, kMagicV1) != 0) {
+  if (buf.size() < kMagicLen + 4 || buf.compare(0, kMagicLen, kMagic) != 0) {
     return Status::Corruption("bad manifest magic: " + path);
   }
   std::string body = buf.substr(0, buf.size() - 4);
@@ -187,48 +152,31 @@ StatusOr<SegmentManifest> SegmentManifest::Load(const std::string& path) {
   if (term_count > body.size()) {
     return Status::Corruption("manifest term count overruns buffer: " + path);
   }
-  // v3: the names live in one front-coded dictionary ahead of the
-  // per-term records; code order == record order.
-  std::vector<std::string> dict_names;
-  if (v3) {
-    auto dict = FrontCodedDict::Deserialize(body, &pos);
-    if (!dict.ok()) return dict.status();
-    if (dict->size() != term_count) {
-      return Status::Corruption("manifest dictionary size mismatch: " + path);
-    }
-    dict_names = dict->DecodeAll();
+  // The names live in one front-coded dictionary ahead of the per-term
+  // records; code order == record order.
+  auto dict = FrontCodedDict::Deserialize(body, &pos);
+  if (!dict.ok()) return dict.status();
+  if (dict->size() != term_count) {
+    return Status::Corruption("manifest dictionary size mismatch: " + path);
   }
+  std::vector<std::string> names = dict->DecodeAll();
   manifest.terms.reserve(term_count);
   for (uint64_t i = 0; i < term_count; ++i) {
     SegmentTermStats t;
-    if (v3) {
-      t.term = std::move(dict_names[i]);
-    } else {
-      uint64_t len = 0;
-      s = varint::GetU64(body, &pos, &len);
-      if (!s.ok()) return s;
-      if (pos + len > body.size()) {
-        return Status::Corruption("manifest term overruns buffer: " + path);
-      }
-      t.term.assign(body, pos, len);
-      pos += len;
-    }
+    t.term = std::move(names[i]);
+    uint64_t level_count = 0;
     s = varint::GetU32(body, &pos, &t.rows);
     if (s.ok()) s = varint::GetU32(body, &pos, &t.max_tf);
+    if (s.ok()) s = varint::GetU64(body, &pos, &level_count);
     if (!s.ok()) return s;
-    if (v2 || v3) {
-      uint64_t level_count = 0;
-      s = varint::GetU64(body, &pos, &level_count);
+    if (level_count > body.size()) {
+      return Status::Corruption("manifest level count overruns buffer: " +
+                                path);
+    }
+    t.levels.resize(level_count);
+    for (uint64_t l = 0; l < level_count; ++l) {
+      s = GetHistogram(body, &pos, path.c_str(), &t.levels[l]);
       if (!s.ok()) return s;
-      if (level_count > body.size()) {
-        return Status::Corruption("manifest level count overruns buffer: " +
-                                  path);
-      }
-      t.levels.resize(level_count);
-      for (uint64_t l = 0; l < level_count; ++l) {
-        s = GetHistogram(body, &pos, path.c_str(), &t.levels[l]);
-        if (!s.ok()) return s;
-      }
     }
     manifest.terms.push_back(std::move(t));
   }

@@ -19,47 +19,38 @@ namespace xtopk {
 /// (RawLocalScore is monotone in tf for fixed df, so the per-term max is
 /// attained at max_tf).
 ///
-/// `levels` (manifest v2) adds one equal-height histogram per JDewey level
-/// over the term's distinct level ids in this segment; SegmentedIndex
-/// merges these across segments into corpus-global planner statistics
-/// without touching any posting pages. Empty for v1 manifests.
-struct SegmentTermStats {
+/// `levels` holds one equal-height histogram per JDewey level over the
+/// term's distinct level ids in this segment; SegmentedIndex merges these
+/// across segments into corpus-global planner statistics without touching
+/// any posting pages. The record IS the term's TermStats, so a disk
+/// environment hands planners a pointer into its manifest instead of a
+/// second copy of every histogram.
+struct SegmentTermStats : TermStats {
   std::string term;
-  uint32_t rows = 0;
   uint32_t max_tf = 0;
-  std::vector<LevelHistogram> levels;  ///< levels[l-1] = level l, may be empty
 };
 
 /// Sidecar metadata of a sealed segment (stored next to the page file as
-/// `<segment>.manifest`). Byte layout (v2):
+/// `<segment>.manifest`, docs/FORMATS.md). Byte layout:
 ///
-///   magic "XTKSMAN2" | varint covered_nodes | varint term_count
-///   per term: varint term_len | term bytes | varint rows | varint max_tf
-///            | varint level_count
+///   magic "XTKSMAN3" | varint covered_nodes | varint term_count
+///   front-coded term dictionary (storage/dictionary.h)
+///   per term, in dictionary-code (sorted) order:
+///            varint rows | varint max_tf | varint level_count
 ///            per level: varint bucket_count
 ///              per bucket: varint (lo - prev_hi) | varint (hi - lo)
 ///                        | varint count          (prev_hi starts at 0)
 ///   fixed32 LE CRC32C over all preceding bytes
 ///
-/// v1 ("XTKSMAN1") is the same without the per-term histogram block and is
-/// still readable — Load leaves `levels` empty so callers degrade to
-/// row-count-only statistics. Load verifies the magic and the checksum and
-/// returns Corruption on any mismatch or truncation, so a damaged manifest
-/// is detected before its statistics can skew scores or plans.
+/// Load verifies the magic and the checksum and returns Corruption on any
+/// mismatch or truncation (earlier manifest versions included), so a
+/// damaged manifest is detected before its statistics can skew scores or
+/// plans.
 struct SegmentManifest {
   uint64_t covered_nodes = 0;          ///< nodes this segment indexed
   std::vector<SegmentTermStats> terms; ///< sorted by term
 
-  Status Save(const std::string& path) const;  ///< writes v2
-  /// Writes the legacy v1 layout (histograms dropped); kept so the
-  /// backward-compat path stays testable without fixture files.
-  Status SaveV1(const std::string& path) const;
-  /// Writes v3 ("XTKSMAN3"): identical to v2 except the term strings move
-  /// into one front-coded dictionary (storage/dictionary.h) ahead of the
-  /// per-term records, which then follow in dictionary-code order without
-  /// inline names. Written next to compressed (v3) disk segments; Load
-  /// reads all three versions.
-  Status SaveV3(const std::string& path) const;
+  Status Save(const std::string& path) const;
   static StatusOr<SegmentManifest> Load(const std::string& path);
 };
 

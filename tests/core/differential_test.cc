@@ -95,8 +95,6 @@ std::vector<SearchResult> StackOracle(const XmlTree& tree,
 
 /// One disk configuration under test.
 struct DiskConfig {
-  ColumnCodec codec;
-  bool checksums;
   bool skip;
   const char* name;
 };
@@ -126,15 +124,10 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
   TopKIndex topk_compressed =
       compressed_builder.BuildTopKIndex(jindex_compressed);
 
-  // Disk segments: the current group-varint/auto checksummed format, the
-  // legacy delta codec in both the checksummed and pre-checksum (v1)
-  // container, each served with skip-decode on and off.
+  // The plain disk image, served with skip-decode on and off.
   const DiskConfig kConfigs[] = {
-      {ColumnCodec::kAuto, true, true, "auto_v2_skip"},
-      {ColumnCodec::kAuto, true, false, "auto_v2_noskip"},
-      {ColumnCodec::kDelta, true, true, "delta_v2_skip"},
-      {ColumnCodec::kDelta, false, false, "delta_v1_noskip"},
-      {ColumnCodec::kAuto, false, true, "auto_v1_skip"},
+      {true, "plain_skip"},
+      {false, "plain_noskip"},
   };
   std::vector<std::shared_ptr<DiskIndexEnv>> envs;
   std::vector<std::string> config_names;
@@ -142,33 +135,30 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
   for (const DiskConfig& config : kConfigs) {
     std::string path = TempPath("differential_" + std::to_string(seed) + "_" +
                                 config.name);
-    ASSERT_TRUE(DiskIndexWriter::Write(jindex, /*include_scores=*/true, path,
-                                       config.codec, config.checksums)
-                    .ok());
+    ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
     DiskIndexOptions options;
     options.enable_skip = config.skip;
     auto env = DiskIndexEnv::Open(path, options);
     ASSERT_TRUE(env.ok()) << config.name << ": " << env.status().ToString();
-    EXPECT_EQ((*env)->checksums_verified(), config.checksums) << config.name;
     envs.push_back(*env);
     config_names.push_back(config.name);
     paths.push_back(std::move(path));
+    paths.push_back(paths.back() + ".manifest");
   }
 
-  // The compressed v3 container: front-coded term dictionary, DAG sidecar,
-  // dictionary-coded length/score rows — served by the same session layer.
+  // The compressed image: DAG sidecar and dictionary-coded length/score
+  // rows — served by the same session layer.
   {
     std::string path =
-        TempPath("differential_" + std::to_string(seed) + "_dict_dag_v3");
-    DiskIndexWriter::Options v3;
-    v3.dict_terms = true;
-    v3.dag = true;
-    v3.dict_rows = true;
-    ASSERT_TRUE(DiskIndexWriter::Write(jindex_compressed, path, v3).ok());
+        TempPath("differential_" + std::to_string(seed) + "_compressed");
+    DiskIndexWriter::Options image;
+    image.dag = true;
+    image.dict_rows = true;
+    ASSERT_TRUE(DiskIndexWriter::Write(jindex_compressed, path, image).ok());
     auto env = DiskIndexEnv::Open(path, DiskIndexOptions{});
-    ASSERT_TRUE(env.ok()) << "dict_dag_v3: " << env.status().ToString();
+    ASSERT_TRUE(env.ok()) << "compressed: " << env.status().ToString();
     envs.push_back(*env);
-    config_names.push_back("dict_dag_v3");
+    config_names.push_back("compressed");
     paths.push_back(std::move(path));
     paths.push_back(paths.back() + ".manifest");
   }
@@ -192,10 +182,7 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
     std::string path = TempPath("differential_" + std::to_string(seed) +
                                 "_seg" + std::to_string(i));
     ASSERT_TRUE(
-        DiskIndexWriter::Write(segment, /*include_scores=*/true, path).ok());
-    SegmentManifest manifest = ManifestFromSegment(segment);
-    manifest.covered_nodes = groups[i].size();
-    ASSERT_TRUE(manifest.Save(path + ".manifest").ok());
+        DiskIndexWriter::Write(segment, path, {}, groups[i].size()).ok());
     ASSERT_TRUE(segmented.AddDiskSegment(path).ok());
     paths.push_back(std::move(path));
     paths.push_back(paths.back() + ".manifest");
@@ -381,15 +368,15 @@ TEST_P(HighRepetitionDifferentialTest, CompressedEnginesMatchOracle) {
   EXPECT_GT(dag_lists, 0u) << "seed=" << seed
                            << ": high-repetition corpus built no DAG";
 
-  // Compressed v3 container over the compressed build.
-  std::string v3_path =
-      TempPath("differential_hirep_" + std::to_string(seed) + "_v3");
-  DiskIndexWriter::Options v3;
-  v3.dict_terms = true;
-  v3.dag = true;
-  v3.dict_rows = true;
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex_compressed, v3_path, v3).ok());
-  auto env = DiskIndexEnv::Open(v3_path, DiskIndexOptions{});
+  // The compressed image over the compressed build.
+  std::string image_path =
+      TempPath("differential_hirep_" + std::to_string(seed) + "_compressed");
+  DiskIndexWriter::Options image;
+  image.dag = true;
+  image.dict_rows = true;
+  ASSERT_TRUE(
+      DiskIndexWriter::Write(jindex_compressed, image_path, image).ok());
+  auto env = DiskIndexEnv::Open(image_path, DiskIndexOptions{});
   ASSERT_TRUE(env.ok()) << env.status().ToString();
 
   for (size_t qi = 0; qi < workload.size(); ++qi) {
@@ -425,7 +412,7 @@ TEST_P(HighRepetitionDifferentialTest, CompressedEnginesMatchOracle) {
       auto got = session->SearchComplete(query.keywords, options);
       ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
       ExpectSameResults(*got, want,
-                        label + " disk v3 policy=" +
+                        label + " disk compressed policy=" +
                             std::to_string(static_cast<int>(policy)));
     }
     for (Semantics semantics : {Semantics::kElca, Semantics::kSlca}) {
@@ -441,7 +428,8 @@ TEST_P(HighRepetitionDifferentialTest, CompressedEnginesMatchOracle) {
       options.k = query.k;
       auto got = (*env)->NewSession()->SearchTopK(query.keywords, options);
       ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-      ExpectTopKMatchesComplete(*got, oracle, query.k, topk_label + "disk v3");
+      ExpectTopKMatchesComplete(*got, oracle, query.k,
+                                topk_label + "disk compressed");
       for (bool fallback : {true, false}) {
         options.fallback_to_complete = fallback;
         TopKSearch memory(topk_index, options);
@@ -459,8 +447,8 @@ TEST_P(HighRepetitionDifferentialTest, CompressedEnginesMatchOracle) {
   }
 
   (*env).reset();
-  std::remove(v3_path.c_str());
-  std::remove((v3_path + ".manifest").c_str());
+  std::remove(image_path.c_str());
+  std::remove((image_path + ".manifest").c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(HighRepetitionCorpora, HighRepetitionDifferentialTest,

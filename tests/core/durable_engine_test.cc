@@ -12,6 +12,9 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 
 #include "obs/metrics.h"
 #include "storage/manifest_log.h"
+#include "util/crc32c.h"
 #include "util/fault_env.h"
 #include "xml/xml_tree.h"
 
@@ -141,6 +145,49 @@ TEST(DurableEngineTest, ReopenResumesSealedSetAndEncoding) {
   ExpectSameHits(RunAllQueries(engine2.get()), after_growth,
                  "after second reopen");
   engine2.reset();
+  std::system(("rm -rf " + dir).c_str());
+}
+
+TEST(DurableEngineTest, RetiredManifestVersionFailsOpenTyped) {
+  // A data directory whose segment manifests carry an earlier version's
+  // magic (checksum intact) was written by an older on-disk format: the
+  // reopen must report it as kCorruption instead of serving from it or
+  // silently re-sealing over it.
+  const std::string dir = TestDir("retired_manifest");
+  {
+    auto engine = OpenOrDie(dir, TreeAfter(0));
+    AddRange(engine.get(), 0, 12);
+    ASSERT_TRUE(engine->SealMemtable().ok());
+  }
+  size_t rewritten = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string path = entry.path().string();
+    if (entry.path().extension() != ".manifest") continue;
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(bytes.size(), 12u);
+    ASSERT_EQ(bytes[7], '3') << path;
+    bytes[7] = '2';
+    bytes.resize(bytes.size() - 4);
+    const uint32_t crc = crc32c::Compute(bytes);
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<char>(crc >> (8 * i)));
+    }
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0u);
+
+  DurableOptions durable;
+  durable.data_dir = dir;
+  auto opened = UpdatableEngine::OpenDurable(TreeAfter(12), {}, durable);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status().ToString();
   std::system(("rm -rf " + dir).c_str());
 }
 

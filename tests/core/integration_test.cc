@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 
 #include "baseline/indexed_lookup.h"
@@ -13,8 +14,8 @@
 #include "core/engine.h"
 #include "core/join_search.h"
 #include "core/topk_search.h"
+#include "index/disk_index.h"
 #include "index/index_builder.h"
-#include "index/index_io.h"
 #include "workload/dblp_gen.h"
 #include "workload/xmark_gen.h"
 
@@ -116,18 +117,21 @@ TEST_F(DblpIntegrationTest, TopKAndRdilAgreeWithOracleOrder) {
 
 TEST_F(DblpIntegrationTest, PersistedIndexAnswersIdentically) {
   JDeweyIndex jindex = builder_->BuildJDeweyIndex();
-  std::string buf;
-  index_io::EncodeJDeweyIndex(jindex, true, &buf);
-  JDeweyIndex loaded;
-  ASSERT_TRUE(index_io::DecodeJDeweyIndex(buf, &loaded).ok());
-  JoinSearch a(jindex), b(loaded);
+  std::string path = ::testing::TempDir() + "/integration_persisted";
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
+  auto disk = DiskJDeweyIndex::Open(path);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  JoinSearch a(jindex);
   auto ra = a.Search({"needle", "haystack"});
-  auto rb = b.Search({"needle", "haystack"});
-  ASSERT_EQ(ra.size(), rb.size());
+  auto rb = (*disk)->SearchComplete({"needle", "haystack"});
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  ASSERT_EQ(ra.size(), rb->size());
   for (size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].node, rb[i].node);
-    EXPECT_EQ(ra[i].score, rb[i].score);
+    EXPECT_EQ(ra[i].node, (*rb)[i].node);
+    EXPECT_EQ(ra[i].score, (*rb)[i].score);
   }
+  std::remove(path.c_str());
+  std::remove((path + ".manifest").c_str());
 }
 
 TEST_F(DblpIntegrationTest, EngineFacadeMatchesDirectUse) {

@@ -69,8 +69,7 @@ TEST_P(PlannerCorrectnessTest, PlannedEqualsHeuristicOnEveryBackend) {
 
   // Disk backend (stats from the auto-written manifest sidecar).
   std::string disk_path = TempPath("planner_corr_" + std::to_string(seed));
-  ASSERT_TRUE(
-      DiskIndexWriter::Write(jindex, /*include_scores=*/true, disk_path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, disk_path).ok());
   auto env = DiskIndexEnv::Open(disk_path, DiskIndexOptions{});
   ASSERT_TRUE(env.ok()) << env.status().ToString();
 
@@ -93,10 +92,7 @@ TEST_P(PlannerCorrectnessTest, PlannedEqualsHeuristicOnEveryBackend) {
     std::string path = TempPath("planner_corr_" + std::to_string(seed) +
                                 "_seg" + std::to_string(i));
     ASSERT_TRUE(
-        DiskIndexWriter::Write(segment, /*include_scores=*/true, path).ok());
-    SegmentManifest manifest = ManifestFromSegment(segment);
-    manifest.covered_nodes = groups[i].size();
-    ASSERT_TRUE(manifest.Save(path + ".manifest").ok());
+        DiskIndexWriter::Write(segment, path, {}, groups[i].size()).ok());
     ASSERT_TRUE(segmented.AddDiskSegment(path).ok());
     cleanup.push_back(path);
     cleanup.push_back(path + ".manifest");

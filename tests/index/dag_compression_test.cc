@@ -1,9 +1,9 @@
 // Correctness suite of the structure-aware compression layer (DESIGN.md
 // §15): subtree-DAG detection + verification at build time, the exact
 // dedup-column round trip, bit-identical query results with the DAG and
-// dictionary on vs off, the force-off environment knobs, and the v3 disk
-// format (dictionary-encoded term space, kDict row streams, deduplicated
-// column blobs expanded through the checked expander at load).
+// dictionary on vs off, the force-off environment knobs, and the disk
+// image's compression flags (kDict row streams, deduplicated column blobs
+// expanded through the checked expander at load).
 
 #include <gtest/gtest.h>
 
@@ -230,10 +230,10 @@ TEST(DagCompressionTest, EnvKnobsForceCompressionOff) {
   EXPECT_GT(dag_lists, 0u);
 }
 
-/// Disk format v3: dictionary-encoded terms + kDict row streams + DAG
-/// column blobs must load back to lists bit-identical to the in-memory
-/// build, serve the same directory surface, and answer queries exactly
-/// like a legacy v2 segment of the same index.
+/// The compressed image — kDict row streams + DAG column blobs — must load
+/// back to lists bit-identical to the in-memory build, serve the same
+/// directory surface, and answer queries exactly like the plain image of
+/// the same index.
 TEST(DagCompressionTest, DiskV3RoundTripsBitIdentical) {
   XmlTree tree = RepeatedTree();
   IndexBuildOptions build_options = BaseOptions();
@@ -241,31 +241,28 @@ TEST(DagCompressionTest, DiskV3RoundTripsBitIdentical) {
   IndexBuilder builder(tree, build_options);
   JDeweyIndex index = builder.BuildJDeweyIndex();
 
-  std::string v2_path = TempPath("dag_v3_roundtrip_v2");
-  std::string v3_path = TempPath("dag_v3_roundtrip_v3");
-  ASSERT_TRUE(
-      DiskIndexWriter::Write(index, /*include_scores=*/true, v2_path).ok());
+  std::string plain_path = TempPath("dag_roundtrip_plain");
+  std::string comp_path = TempPath("dag_roundtrip_compressed");
+  ASSERT_TRUE(DiskIndexWriter::Write(index, plain_path).ok());
   DiskIndexWriter::Options write_options;
-  write_options.dict_terms = true;
   write_options.dag = true;
   write_options.dict_rows = true;
-  ASSERT_TRUE(DiskIndexWriter::Write(index, v3_path, write_options).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(index, comp_path, write_options).ok());
 
-  auto v2_env = DiskIndexEnv::Open(v2_path);
-  ASSERT_TRUE(v2_env.ok()) << v2_env.status().ToString();
-  auto v3_env = DiskIndexEnv::Open(v3_path);
-  ASSERT_TRUE(v3_env.ok()) << v3_env.status().ToString();
-  EXPECT_EQ((*v3_env)->term_count(), index.term_count());
-  EXPECT_TRUE((*v3_env)->checksums_verified());
+  auto plain_env = DiskIndexEnv::Open(plain_path);
+  ASSERT_TRUE(plain_env.ok()) << plain_env.status().ToString();
+  auto comp_env = DiskIndexEnv::Open(comp_path);
+  ASSERT_TRUE(comp_env.ok()) << comp_env.status().ToString();
+  EXPECT_EQ((*comp_env)->term_count(), index.term_count());
 
   // Directory surface + full list materialization against the in-memory
   // truth, term by term.
-  auto session = (*v3_env)->NewSession();
+  auto session = (*comp_env)->NewSession();
   for (size_t t = 0; t < index.terms().size(); ++t) {
     const std::string& term = index.terms()[t];
     const JDeweyList& want = index.lists()[t];
-    EXPECT_EQ((*v3_env)->Frequency(term), want.num_rows()) << term;
-    EXPECT_EQ((*v3_env)->MaxLength(term), want.max_length) << term;
+    EXPECT_EQ((*comp_env)->Frequency(term), want.num_rows()) << term;
+    EXPECT_EQ((*comp_env)->MaxLength(term), want.max_length) << term;
     auto got = session->LoadList(term, want.max_length, /*need_scores=*/true);
     ASSERT_TRUE(got.ok()) << term << ": " << got.status().ToString();
     ASSERT_NE(*got, nullptr) << term;
@@ -288,28 +285,28 @@ TEST(DagCompressionTest, DiskV3RoundTripsBitIdentical) {
       }
     }
   }
-  EXPECT_EQ((*v3_env)->Frequency("absent"), 0u);
+  EXPECT_EQ((*comp_env)->Frequency("absent"), 0u);
 
-  // Query equivalence against the legacy container.
+  // Query equivalence against the plain image.
   const std::vector<std::vector<std::string>> queries = {
       {"alpha", "beta"}, {"alpha", "beta", "gamma"}, {"gamma"}};
   for (const auto& keywords : queries) {
     for (Semantics semantics : {Semantics::kElca, Semantics::kSlca}) {
       JoinSearchOptions options;
       options.semantics = semantics;
-      auto v2_session = (*v2_env)->NewSession();
-      auto v3_session = (*v3_env)->NewSession();
-      auto want = v2_session->SearchComplete(keywords, options);
-      auto got = v3_session->SearchComplete(keywords, options);
+      auto plain_session = (*plain_env)->NewSession();
+      auto comp_session = (*comp_env)->NewSession();
+      auto want = plain_session->SearchComplete(keywords, options);
+      auto got = comp_session->SearchComplete(keywords, options);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSameResults(*got, *want, "disk v3 vs v2");
+      ExpectSameResults(*got, *want, "disk comp vs plain");
 
       TopKSearchOptions topk;
       topk.semantics = semantics;
       topk.k = 4;
-      auto want_topk = (*v2_env)->NewSession()->SearchTopK(keywords, topk);
-      auto got_topk = (*v3_env)->NewSession()->SearchTopK(keywords, topk);
+      auto want_topk = (*plain_env)->NewSession()->SearchTopK(keywords, topk);
+      auto got_topk = (*comp_env)->NewSession()->SearchTopK(keywords, topk);
       ASSERT_TRUE(want_topk.ok()) << want_topk.status().ToString();
       ASSERT_TRUE(got_topk.ok()) << got_topk.status().ToString();
       ASSERT_EQ(got_topk->size(), want_topk->size());
@@ -319,15 +316,14 @@ TEST(DagCompressionTest, DiskV3RoundTripsBitIdentical) {
     }
   }
 
-  std::remove(v2_path.c_str());
-  std::remove((v2_path + ".manifest").c_str());
-  std::remove(v3_path.c_str());
-  std::remove((v3_path + ".manifest").c_str());
+  std::remove(plain_path.c_str());
+  std::remove((plain_path + ".manifest").c_str());
+  std::remove(comp_path.c_str());
+  std::remove((comp_path + ".manifest").c_str());
 }
 
-/// The v3 container is strictly smaller than v2 on a repeated corpus, and
-/// Write with all compression knobs off emits a file v2 readers' size
-/// accounting expects (same bytes as the legacy overload).
+/// The compressed image is no larger than the plain one on a repeated
+/// corpus.
 TEST(DagCompressionTest, CompressedContainerIsSmallerOnRepeatedCorpus) {
   XmlTree tree = MakeRepeatedSubtreeTree(5, /*groups=*/3,
                                          /*copies_per_group=*/16, kTerms);
@@ -345,39 +341,29 @@ TEST(DagCompressionTest, CompressedContainerIsSmallerOnRepeatedCorpus) {
     return size;
   };
 
-  std::string v2_path = TempPath("dag_size_v2");
-  std::string v3_path = TempPath("dag_size_v3");
-  std::string passthrough = TempPath("dag_size_passthrough");
-  ASSERT_TRUE(
-      DiskIndexWriter::Write(index, /*include_scores=*/true, v2_path).ok());
+  std::string plain_path = TempPath("dag_size_plain");
+  std::string comp_path = TempPath("dag_size_compressed");
+  ASSERT_TRUE(DiskIndexWriter::Write(index, plain_path).ok());
   DiskIndexWriter::Options write_options;
-  write_options.dict_terms = true;
   write_options.dag = true;
   write_options.dict_rows = true;
-  ASSERT_TRUE(DiskIndexWriter::Write(index, v3_path, write_options).ok());
-  ASSERT_TRUE(
-      DiskIndexWriter::Write(index, passthrough, DiskIndexWriter::Options{})
-          .ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(index, comp_path, write_options).ok());
 
-  long v2 = file_size(v2_path), v3 = file_size(v3_path);
-  ASSERT_GT(v2, 0);
-  ASSERT_GT(v3, 0);
+  long plain = file_size(plain_path), comp = file_size(comp_path);
+  ASSERT_GT(plain, 0);
+  ASSERT_GT(comp, 0);
   // Page granularity makes small corpora coarse; "no larger" is the
   // invariant here, the >= 30% bar lives in the perf-smoke bench on a
   // corpus big enough to see past page rounding.
-  EXPECT_LE(v3, v2);
-  EXPECT_EQ(file_size(passthrough), v2) << "no-knob Options must stay legacy";
+  EXPECT_LE(comp, plain);
 
-  std::remove(v2_path.c_str());
-  std::remove((v2_path + ".manifest").c_str());
-  std::remove(v3_path.c_str());
-  std::remove((v3_path + ".manifest").c_str());
-  std::remove(passthrough.c_str());
-  std::remove((passthrough + ".manifest").c_str());
+  std::remove(plain_path.c_str());
+  std::remove((plain_path + ".manifest").c_str());
+  std::remove(comp_path.c_str());
+  std::remove((comp_path + ".manifest").c_str());
 }
 
-/// v3 manifests (front-coded term section) round-trip and stay readable
-/// alongside v1/v2.
+/// Manifests (front-coded term section) round-trip every field.
 TEST(DagCompressionTest, ManifestV3RoundTrip) {
   XmlTree tree = RepeatedTree();
   IndexBuilder builder(tree, BaseOptions());
@@ -385,26 +371,22 @@ TEST(DagCompressionTest, ManifestV3RoundTrip) {
   SegmentManifest manifest = ManifestFromSegment(index);
   manifest.covered_nodes = tree.node_count();
 
-  std::string v2_path = TempPath("manifest_v3_as_v2");
-  std::string v3_path = TempPath("manifest_v3");
-  ASSERT_TRUE(manifest.Save(v2_path).ok());
-  ASSERT_TRUE(manifest.SaveV3(v3_path).ok());
-
-  auto v2 = SegmentManifest::Load(v2_path);
-  auto v3 = SegmentManifest::Load(v3_path);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-  EXPECT_EQ(v3->covered_nodes, manifest.covered_nodes);
-  ASSERT_EQ(v3->terms.size(), v2->terms.size());
-  for (size_t i = 0; i < v3->terms.size(); ++i) {
-    EXPECT_EQ(v3->terms[i].term, v2->terms[i].term);
-    EXPECT_EQ(v3->terms[i].rows, v2->terms[i].rows);
-    EXPECT_EQ(v3->terms[i].max_tf, v2->terms[i].max_tf);
-    EXPECT_EQ(v3->terms[i].levels.size(), v2->terms[i].levels.size());
+  std::string path = TempPath("manifest_v3");
+  ASSERT_TRUE(manifest.Save(path).ok());
+  auto loaded = SegmentManifest::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->covered_nodes, manifest.covered_nodes);
+  ASSERT_EQ(loaded->terms.size(), manifest.terms.size());
+  for (size_t i = 0; i < loaded->terms.size(); ++i) {
+    EXPECT_EQ(loaded->terms[i].term, manifest.terms[i].term);
+    EXPECT_EQ(loaded->terms[i].rows, manifest.terms[i].rows);
+    EXPECT_EQ(loaded->terms[i].max_tf, manifest.terms[i].max_tf);
+    EXPECT_EQ(loaded->terms[i].levels.size(),
+              manifest.terms[i].levels.size());
   }
 
   // Truncation must always be rejected (the CRC trailer covers the body).
-  std::FILE* f = std::fopen(v3_path.c_str(), "rb");
+  std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::string bytes;
   char chunk[4096];
@@ -420,8 +402,7 @@ TEST(DagCompressionTest, ManifestV3RoundTrip) {
     EXPECT_FALSE(SegmentManifest::Load(cut_path).ok()) << "cut=" << cut;
   }
 
-  std::remove(v2_path.c_str());
-  std::remove(v3_path.c_str());
+  std::remove(path.c_str());
   std::remove(cut_path.c_str());
 }
 

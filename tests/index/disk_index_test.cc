@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #include "core/join_search.h"
 #include "core/topk_search.h"
 #include "index/index_builder.h"
+#include "storage/serializer.h"
 #include "testing/corpus.h"
+#include "util/crc32c.h"
+#include "util/varint.h"
 #include "workload/xmark_gen.h"
 
 namespace xtopk {
@@ -28,8 +33,7 @@ TEST(DiskIndexTest, RoundTripSearchMatchesInMemory) {
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
 
   std::string path = TempPath("disk_index_roundtrip");
-  ASSERT_TRUE(
-      DiskIndexWriter::Write(jindex, /*include_scores=*/true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
   auto disk = DiskJDeweyIndex::Open(path);
   ASSERT_TRUE(disk.ok()) << disk.status().ToString();
 
@@ -54,7 +58,7 @@ TEST(DiskIndexTest, DirectoryAnswersWithoutDataIo) {
   IndexBuilder builder(tree);
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
   std::string path = TempPath("disk_index_directory");
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
   auto disk = DiskJDeweyIndex::Open(path);
   ASSERT_TRUE(disk.ok());
   (*disk)->ResetIoStats();
@@ -86,7 +90,7 @@ TEST(DiskIndexTest, LazyColumnsSaveIoForShallowL0) {
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
 
   std::string path = TempPath("disk_index_lazy");
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
 
   // Query {shallow, deep}: l0 = max occurrence level of "shallow" = 2.
   auto disk = DiskJDeweyIndex::Open(path, /*pool_pages=*/4096);
@@ -113,7 +117,7 @@ TEST(DiskIndexTest, LoadListExtendsIncrementally) {
   IndexBuilder builder(tree);
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
   std::string path = TempPath("disk_index_extend");
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
   auto disk = DiskJDeweyIndex::Open(path);
   ASSERT_TRUE(disk.ok());
 
@@ -144,7 +148,7 @@ TEST(DiskIndexTest, TopKOverDiskMatchesInMemory) {
   TopKIndex memory_topk = builder.BuildTopKIndex(jindex);
 
   std::string path = TempPath("disk_index_topk");
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
   auto disk = DiskJDeweyIndex::Open(path);
   ASSERT_TRUE(disk.ok());
 
@@ -176,6 +180,168 @@ TEST(DiskIndexTest, CorruptFooterRejected) {
   ASSERT_FALSE(disk.ok());
   EXPECT_EQ(disk.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
+}
+
+TEST(DiskIndexTest, StatsComeFromTheManifestWrittenBesideTheImage) {
+  XmlTree tree = MakeRandomTree(207, 400, 4, 7, {"alpha", "beta"}, 0.2);
+  IndexBuilder builder(tree);
+  JDeweyIndex jindex = builder.BuildJDeweyIndex();
+  std::string path = TempPath("disk_index_stats");
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
+
+  auto env = DiskIndexEnv::Open(path);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  ASSERT_TRUE((*env)->manifest().ok());
+  EXPECT_EQ((*env)->manifest()->terms.size(), jindex.term_count());
+  size_t checked = 0;
+  for (const std::string& term : jindex.terms()) {
+    const TermStats* want = jindex.StatsOf(term);
+    ASSERT_NE(want, nullptr) << term;
+    const TermStats* got = (*env)->Stats(term);
+    if (!want->has_histograms()) continue;
+    ASSERT_NE(got, nullptr) << term;
+    EXPECT_EQ(got->rows, want->rows) << term;
+    ASSERT_EQ(got->levels.size(), want->levels.size()) << term;
+    for (size_t l = 0; l < want->levels.size(); ++l) {
+      EXPECT_EQ(got->levels[l].buckets().size(),
+                want->levels[l].buckets().size());
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_EQ((*env)->Stats("no-such-term"), nullptr);
+
+  // The manifest is advisory for a standalone reader: without it Open
+  // still succeeds, planning just loses its histograms.
+  std::remove((path + ".manifest").c_str());
+  auto bare = DiskIndexEnv::Open(path);
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  EXPECT_FALSE((*bare)->manifest().ok());
+  EXPECT_EQ((*bare)->Stats("alpha"), nullptr);
+  EXPECT_EQ((*bare)->Frequency("alpha"), jindex.Frequency("alpha"));
+  std::remove(path.c_str());
+}
+
+/// The raw bytes of an image plus its parsed footer, so tests can forge
+/// retired footers and sidecars with valid checksums.
+struct ImageBytes {
+  std::string bytes;
+  uint32_t version = 0;
+  std::vector<uint64_t> extents;  ///< dir, table, sidecar: page, off, len
+  uint32_t data_pages = 0;
+
+  size_t footer_offset() const { return bytes.size() - PageFile::kPageSize; }
+};
+
+ImageBytes ReadImage(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  ImageBytes image;
+  image.bytes.assign(std::istreambuf_iterator<char>(in), {});
+  std::string footer = image.bytes.substr(image.footer_offset());
+  size_t pos = 8;
+  EXPECT_TRUE(varint::GetU32(footer, &pos, &image.version).ok());
+  for (int e = 0; e < 3; ++e) {
+    uint32_t page = 0, offset = 0;
+    uint64_t length = 0;
+    EXPECT_TRUE(varint::GetU32(footer, &pos, &page).ok());
+    EXPECT_TRUE(varint::GetU32(footer, &pos, &offset).ok());
+    EXPECT_TRUE(varint::GetU64(footer, &pos, &length).ok());
+    image.extents.insert(image.extents.end(), {page, offset, length});
+  }
+  EXPECT_TRUE(varint::GetU32(footer, &pos, &image.data_pages).ok());
+  return image;
+}
+
+/// Replaces the footer page with `magic` + `version` + the given extents
+/// (dir, table and, when `with_sidecar`, the sidecar), the data page count
+/// and `table_crc`, sealed with a valid footer CRC.
+void WriteFooter(const std::string& path, ImageBytes image,
+                 const char* magic, uint32_t version, bool with_sidecar,
+                 uint32_t table_crc) {
+  std::string footer(magic, 8);
+  varint::PutU32(&footer, version);
+  for (int e = 0; e < (with_sidecar ? 3 : 2); ++e) {
+    varint::PutU32(&footer, static_cast<uint32_t>(image.extents[3 * e]));
+    varint::PutU32(&footer, static_cast<uint32_t>(image.extents[3 * e + 1]));
+    varint::PutU64(&footer, image.extents[3 * e + 2]);
+  }
+  varint::PutU32(&footer, image.data_pages);
+  ser::PutFixed32(&footer, table_crc);
+  ser::PutFixed32(&footer, crc32c::Compute(footer));
+  footer.resize(PageFile::kPageSize, '\0');
+  image.bytes.replace(image.footer_offset(), PageFile::kPageSize, footer);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(image.bytes.data(),
+            static_cast<std::streamsize>(image.bytes.size()));
+}
+
+uint32_t TableCrc(const ImageBytes& image) {
+  size_t table_at = image.extents[3] * PageFile::kPageSize + image.extents[4];
+  return crc32c::Compute(image.bytes.substr(table_at, image.extents[5]));
+}
+
+TEST(DiskIndexTest, RetiredFootersAndSidecarsAreCorruption) {
+  XmlTree tree = MakeSmallCorpus();
+  IndexBuilder builder(tree);
+  JDeweyIndex jindex = builder.BuildJDeweyIndex();
+  std::string path = TempPath("disk_index_retired");
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
+  const ImageBytes image = ReadImage(path);
+  ASSERT_EQ(image.version, 3u);
+  DiskIndexOptions options;
+  options.retry_backoff_us = 0;
+
+  auto expect_corruption = [&](const char* what) {
+    auto env = DiskIndexEnv::Open(path, options);
+    ASSERT_FALSE(env.ok()) << what;
+    EXPECT_EQ(env.status().code(), StatusCode::kCorruption)
+        << what << ": " << env.status().ToString();
+  };
+
+  {  // The unchecksummed layout: magic + directory extent only.
+    ImageBytes v1 = image;
+    std::string footer("XTKDISK1", 8);
+    varint::PutU32(&footer, static_cast<uint32_t>(image.extents[0]));
+    varint::PutU32(&footer, static_cast<uint32_t>(image.extents[1]));
+    varint::PutU64(&footer, image.extents[2]);
+    footer.resize(PageFile::kPageSize, '\0');
+    v1.bytes.replace(v1.footer_offset(), PageFile::kPageSize, footer);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(v1.bytes.data(), static_cast<std::streamsize>(v1.bytes.size()));
+  }
+  expect_corruption("unchecksummed footer");
+
+  // The checksummed layout without a sidecar: version 2, valid CRCs.
+  WriteFooter(path, image, "XTKDISK2", 2, /*with_sidecar=*/false,
+              TableCrc(image));
+  expect_corruption("XTKDISK2 version-2 footer");
+
+  {  // A sidecar whose flags lack the term dictionary, every CRC re-sealed.
+    ImageBytes forged = image;
+    size_t flags_at =
+        image.extents[6] * PageFile::kPageSize + image.extents[7];
+    ASSERT_NE(forged.bytes[flags_at] & 1, 0);
+    forged.bytes[flags_at] = static_cast<char>(forged.bytes[flags_at] & ~1);
+    const size_t page = image.extents[6];
+    uint32_t page_crc = crc32c::Compute(
+        forged.bytes.substr(page * PageFile::kPageSize, PageFile::kPageSize));
+    size_t table_at =
+        image.extents[3] * PageFile::kPageSize + image.extents[4];
+    std::string entry;
+    ser::PutFixed32(&entry, page_crc);
+    forged.bytes.replace(table_at + 4 * page, 4, entry);
+    WriteFooter(path, forged, "XTKDISK2", 3, /*with_sidecar=*/true,
+                TableCrc(forged));
+  }
+  expect_corruption("sidecar without the dictionary flag");
+
+  // Control: the untouched image re-sealed by the same helper opens.
+  WriteFooter(path, image, "XTKDISK2", 3, /*with_sidecar=*/true,
+              TableCrc(image));
+  auto env = DiskIndexEnv::Open(path, options);
+  EXPECT_TRUE(env.ok()) << env.status().ToString();
+  std::remove(path.c_str());
+  std::remove((path + ".manifest").c_str());
 }
 
 TEST(DiskIndexTest, MissingFileIsIoError) {

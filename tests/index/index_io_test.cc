@@ -1,21 +1,41 @@
+// Persistence of both index families: the Dewey lists' XTD1 encoding
+// (index_io) and the JDewey lists' paged disk image (DiskIndexWriter),
+// which the tests below round-trip through a fully loaded disk session.
+
 #include "index/index_io.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #include "core/join_search.h"
 #include "core/topk_search.h"
+#include "index/disk_index.h"
 #include "index/index_builder.h"
 #include "testing/corpus.h"
+#include "testing/disk_image.h"
 #include "util/rng.h"
 
 namespace xtopk {
 namespace {
 
+using testing::LoadAllLists;
 using testing::MakeRandomTree;
 using testing::MakeSmallCorpus;
 
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+void RemoveImage(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".manifest").c_str());
+}
+
+/// `b` is a disk session's view: lists carry no occurrence nodes, so each
+/// row's node is checked through the view's (level, value) -> node map.
 void ExpectJDeweyIndexesEqual(const JDeweyIndex& a, const JDeweyIndex& b,
                               bool scores) {
   ASSERT_EQ(a.terms().size(), b.terms().size());
@@ -26,7 +46,6 @@ void ExpectJDeweyIndexesEqual(const JDeweyIndex& a, const JDeweyIndex& b,
     ASSERT_NE(lb, nullptr) << term;
     ASSERT_EQ(la->num_rows(), lb->num_rows()) << term;
     EXPECT_EQ(la->lengths, lb->lengths) << term;
-    EXPECT_EQ(la->nodes, lb->nodes) << term;
     if (scores) {
       EXPECT_EQ(la->scores, lb->scores) << term;
     }
@@ -37,18 +56,34 @@ void ExpectJDeweyIndexesEqual(const JDeweyIndex& a, const JDeweyIndex& b,
         EXPECT_EQ(la->columns[c].runs()[r], lb->columns[c].runs()[r]);
       }
     }
+    for (uint32_t row = 0; row < la->num_rows(); ++row) {
+      const uint32_t len = la->lengths[row];
+      const Run* run = lb->columns[len - 1].FindRow(row);
+      ASSERT_NE(run, nullptr) << term << " row " << row;
+      EXPECT_EQ(b.NodeAt(len, run->value), la->nodes[row]) << term;
+    }
   }
+}
+
+/// Writes `index` as a disk image and checks the fully loaded copy.
+void ExpectImageRoundTrips(const JDeweyIndex& index, bool scores,
+                           const std::string& name) {
+  std::string path = TempPath(name);
+  DiskIndexWriter::Options options;
+  options.include_scores = scores;
+  ASSERT_TRUE(DiskIndexWriter::Write(index, path, options).ok());
+  auto loaded = LoadAllLists(path, index.terms());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->env().has_scores(), scores);
+  ExpectJDeweyIndexesEqual(index, (*loaded)->view(), scores);
+  RemoveImage(path);
 }
 
 TEST(IndexIoTest, JDeweyRoundTripSmallCorpus) {
   XmlTree tree = MakeSmallCorpus();
   IndexBuilder builder(tree);
   JDeweyIndex index = builder.BuildJDeweyIndex();
-  std::string buf;
-  index_io::EncodeJDeweyIndex(index, /*include_scores=*/true, &buf);
-  JDeweyIndex loaded;
-  ASSERT_TRUE(index_io::DecodeJDeweyIndex(buf, &loaded).ok());
-  ExpectJDeweyIndexesEqual(index, loaded, /*scores=*/true);
+  ExpectImageRoundTrips(index, /*scores=*/true, "index_io_small");
 }
 
 TEST(IndexIoTest, JDeweyRoundTripRandomTrees) {
@@ -58,12 +93,8 @@ TEST(IndexIoTest, JDeweyRoundTripRandomTrees) {
     IndexBuilder builder(tree);
     JDeweyIndex index = builder.BuildJDeweyIndex();
     for (bool scores : {true, false}) {
-      std::string buf;
-      index_io::EncodeJDeweyIndex(index, scores, &buf);
-      JDeweyIndex loaded;
-      ASSERT_TRUE(index_io::DecodeJDeweyIndex(buf, &loaded).ok())
-          << seed << " scores " << scores;
-      ExpectJDeweyIndexesEqual(index, loaded, scores);
+      SCOPED_TRACE(::testing::Message() << seed << " scores " << scores);
+      ExpectImageRoundTrips(index, scores, "index_io_random");
     }
   }
 }
@@ -74,40 +105,42 @@ TEST(IndexIoTest, SearchOverLoadedIndexMatches) {
   options.index_tag_names = false;
   IndexBuilder builder(tree, options);
   JDeweyIndex index = builder.BuildJDeweyIndex();
-  std::string buf;
-  index_io::EncodeJDeweyIndex(index, true, &buf);
-  JDeweyIndex loaded;
-  ASSERT_TRUE(index_io::DecodeJDeweyIndex(buf, &loaded).ok());
+  std::string path = TempPath("index_io_search");
+  ASSERT_TRUE(DiskIndexWriter::Write(index, path).ok());
+  auto loaded = DiskJDeweyIndex::Open(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   for (Semantics semantics : {Semantics::kElca, Semantics::kSlca}) {
     JoinSearchOptions search_options;
     search_options.semantics = semantics;
     JoinSearch original(index, search_options);
-    JoinSearch reloaded(loaded, search_options);
     auto a = original.Search({"alpha", "beta"});
-    auto b = reloaded.Search({"alpha", "beta"});
-    ASSERT_EQ(a.size(), b.size());
+    auto b = (*loaded)->SearchComplete({"alpha", "beta"}, search_options);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_EQ(a.size(), b->size());
     for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].node, b[i].node);
-      EXPECT_NEAR(a[i].score, b[i].score, 1e-12);
+      EXPECT_EQ(a[i].node, (*b)[i].node);
+      EXPECT_NEAR(a[i].score, (*b)[i].score, 1e-12);
     }
   }
+  RemoveImage(path);
 }
 
 TEST(IndexIoTest, SaveLoadFile) {
   XmlTree tree = MakeSmallCorpus();
   IndexBuilder builder(tree);
   JDeweyIndex index = builder.BuildJDeweyIndex();
-  std::string path = ::testing::TempDir() + "/xtopk_index_io_test.idx";
-  ASSERT_TRUE(index_io::SaveJDeweyIndex(index, true, path).ok());
-  auto loaded = index_io::LoadJDeweyIndex(path);
+  std::string path = TempPath("xtopk_index_io_test.idx");
+  ASSERT_TRUE(DiskIndexWriter::Write(index, path).ok());
+  auto loaded = LoadAllLists(path, index.terms());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectJDeweyIndexesEqual(index, *loaded, true);
-  std::remove(path.c_str());
+  EXPECT_EQ((*loaded)->term_count(), index.term_count());
+  ExpectJDeweyIndexesEqual(index, (*loaded)->view(), true);
+  RemoveImage(path);
 }
 
 TEST(IndexIoTest, LoadMissingFileIsIoError) {
-  auto loaded = index_io::LoadJDeweyIndex("/nonexistent/file.idx");
+  auto loaded = DiskJDeweyIndex::Open("/nonexistent/file.idx");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
@@ -116,25 +149,34 @@ TEST(IndexIoTest, RejectsBadMagicAndTruncation) {
   XmlTree tree = MakeSmallCorpus();
   IndexBuilder builder(tree);
   JDeweyIndex index = builder.BuildJDeweyIndex();
-  std::string buf;
-  index_io::EncodeJDeweyIndex(index, true, &buf);
+  std::string path = TempPath("index_io_damaged");
+  ASSERT_TRUE(DiskIndexWriter::Write(index, path).ok());
+  std::string image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto rewrite = [&](const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
 
-  JDeweyIndex out;
-  std::string bad = buf;
-  bad[0] = 'Z';
-  EXPECT_EQ(index_io::DecodeJDeweyIndex(bad, &out).code(),
-            StatusCode::kCorruption);
+  std::string bad = image;
+  bad[image.size() - PageFile::kPageSize] = 'Z';  // footer magic
+  rewrite(bad);
+  auto opened = DiskJDeweyIndex::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
 
   // Truncation anywhere must error, never crash.
   Rng rng(9);
   for (int trial = 0; trial < 30; ++trial) {
-    std::string cut = buf.substr(0, 5 + rng.NextBounded(buf.size() - 5));
-    JDeweyIndex partial;
-    Status s = index_io::DecodeJDeweyIndex(cut, &partial);
-    if (cut.size() < buf.size()) {
-      EXPECT_FALSE(s.ok()) << "cut at " << cut.size();
-    }
+    size_t cut = 1 + rng.NextBounded(image.size() - 1);
+    rewrite(image.substr(0, cut));
+    auto partial = LoadAllLists(path, index.terms());
+    EXPECT_FALSE(partial.ok()) << "cut at " << cut;
   }
+  RemoveImage(path);
 }
 
 TEST(IndexIoTest, DeweyRoundTrip) {
@@ -164,23 +206,23 @@ TEST(IndexIoTest, TopKOverLoadedIndexMatchesFresh) {
   IndexBuilder builder(tree, options);
   JDeweyIndex index = builder.BuildJDeweyIndex();
   TopKIndex fresh_topk = builder.BuildTopKIndex(index);
-
-  std::string buf;
-  index_io::EncodeJDeweyIndex(index, /*include_scores=*/true, &buf);
-  JDeweyIndex loaded;
-  ASSERT_TRUE(index_io::DecodeJDeweyIndex(buf, &loaded).ok());
-  TopKIndex loaded_topk = BuildTopKIndexFrom(loaded);
+  std::string path = TempPath("index_io_topk");
+  ASSERT_TRUE(DiskIndexWriter::Write(index, path).ok());
+  auto loaded = DiskJDeweyIndex::Open(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   TopKSearchOptions topk_options;
   topk_options.k = 8;
-  TopKSearch a(fresh_topk, topk_options), b(loaded_topk, topk_options);
+  TopKSearch a(fresh_topk, topk_options);
   auto want = a.Search({"alpha", "beta"});
-  auto got = b.Search({"alpha", "beta"});
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].node, want[i].node);
-    EXPECT_NEAR(got[i].score, want[i].score, 1e-12);
+  auto got = (*loaded)->SearchTopK({"alpha", "beta"}, topk_options);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), want.size());
+  for (size_t i = 0; i < got->size(); ++i) {
+    EXPECT_EQ((*got)[i].node, want[i].node);
+    EXPECT_NEAR((*got)[i].score, want[i].score, 1e-12);
   }
+  RemoveImage(path);
 }
 
 TEST(IndexIoTest, DeweyRejectsGarbage) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/join_search.h"
@@ -149,10 +150,8 @@ TEST(SegmentedIndexTest, DiskSegmentsAndCompactionPreserveLists) {
   segmented.SetCorpusNodes(tree.node_count());
   for (size_t i = 0; i < groups.size(); ++i) {
     JDeweyIndex segment = BuildSegmentIndex(tree, enc, groups[i], options);
-    ASSERT_TRUE(DiskIndexWriter::Write(segment, true, paths[i]).ok());
-    SegmentManifest manifest = ManifestFromSegment(segment);
-    manifest.covered_nodes = groups[i].size();
-    ASSERT_TRUE(manifest.Save(paths[i] + ".manifest").ok());
+    ASSERT_TRUE(
+        DiskIndexWriter::Write(segment, paths[i], {}, groups[i].size()).ok());
     ASSERT_TRUE(segmented.AddDiskSegment(paths[i]).ok());
   }
   EXPECT_EQ(obs::MetricsRegistry::Global().GetGauge("index.segments").value(),
@@ -191,7 +190,16 @@ TEST(SegmentedIndexTest, DiskSegmentsAndCompactionPreserveLists) {
 TEST(SegmentManifestTest, RoundTripAndCorruptionDetection) {
   SegmentManifest manifest;
   manifest.covered_nodes = 42;
-  manifest.terms = {{"alpha", 3, 2}, {"beta", 7, 5}, {"xml", 100, 9}};
+  for (auto [term, rows, max_tf] :
+       {std::tuple<const char*, uint32_t, uint32_t>{"alpha", 3, 2},
+        {"beta", 7, 5},
+        {"xml", 100, 9}}) {
+    SegmentTermStats t;
+    t.term = term;
+    t.rows = rows;
+    t.max_tf = max_tf;
+    manifest.terms.push_back(std::move(t));
+  }
   std::string path = TempPath("manifest_roundtrip");
   ASSERT_TRUE(manifest.Save(path).ok());
 

@@ -66,10 +66,8 @@ struct Fixture {
     for (size_t i = 0; i < parts; ++i) {
       std::string path = TempPath(tag + "_seg" + std::to_string(i));
       JDeweyIndex segment = BuildSegmentIndex(tree, enc, groups[i], options);
-      ASSERT_TRUE(DiskIndexWriter::Write(segment, true, path).ok());
-      SegmentManifest manifest = ManifestFromSegment(segment);
-      manifest.covered_nodes = groups[i].size();
-      ASSERT_TRUE(manifest.Save(path + ".manifest").ok());
+      ASSERT_TRUE(
+          DiskIndexWriter::Write(segment, path, {}, groups[i].size()).ok());
       ASSERT_TRUE(segmented->AddDiskSegment(path, {}, i + 1).ok());
       paths.push_back(path);
     }

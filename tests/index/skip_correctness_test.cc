@@ -9,6 +9,7 @@
 #include "index/disk_index.h"
 #include "index/index_builder.h"
 #include "obs/metrics.h"
+#include "storage/compression.h"
 #include "testing/corpus.h"
 
 namespace xtopk {
@@ -72,7 +73,7 @@ TEST(SkipCorrectnessTest, SkipOnOffBitIdenticalOnRandomCorpora) {
     IndexBuilder builder(tree, build);
     JDeweyIndex jindex = builder.BuildJDeweyIndex();
     std::string path = TempPath("skip_random");
-    ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+    ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
     CheckSkipTransparent(path, {{"alpha", "beta"},
                                 {"beta", "gamma"},
                                 {"alpha", "beta", "gamma"},
@@ -97,7 +98,7 @@ TEST(SkipCorrectnessTest, PartialLoadsHappenAndStayCorrect) {
   IndexBuilder builder(tree, build);
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
   std::string path = TempPath("skip_partial");
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
 
   auto& registry = obs::MetricsRegistry::Global();
   uint64_t partial_before =
@@ -114,32 +115,65 @@ TEST(SkipCorrectnessTest, PartialLoadsHappenAndStayCorrect) {
   std::remove(path.c_str());
 }
 
-TEST(SkipCorrectnessTest, LegacyDeltaSegmentsStillReadable) {
-  // Segments written before the group-varint codec (all columns kDelta)
-  // must decode unchanged — the codec byte is self-describing, and the
-  // skip path falls back to full decodes for non-GVB columns.
+TEST(SkipCorrectnessTest, RunLengthColumnBoundedLoadFallsBackToFullDecode) {
+  // kAuto stores long-run columns run-length encoded. Those carry no skip
+  // directory, so a bounded load of one must decode the whole column —
+  // never a partial one — and answer bit-identically.
   XmlTree tree = MakeRandomTree(304, 700, 4, 8, {"alpha", "beta"}, 0.15);
   IndexBuildOptions build;
   build.index_tag_names = false;
   IndexBuilder builder(tree, build);
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
-  std::string path = TempPath("skip_legacy");
-  ASSERT_TRUE(
-      DiskIndexWriter::Write(jindex, true, path, ColumnCodec::kDelta).ok());
+  std::string path = TempPath("skip_run_length");
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
+  auto env = DiskIndexEnv::Open(path);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  ASSERT_TRUE((*env)->skip_enabled());
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  size_t rle_levels = 0;
+  for (const char* term : {"alpha", "beta"}) {
+    const JDeweyList* want = jindex.GetList(term);
+    ASSERT_NE(want, nullptr) << term;
+    for (uint32_t level = 1; level <= want->max_length; ++level) {
+      const Column& column = want->columns[level - 1];
+      std::string blob;
+      EncodeColumn(column, ColumnCodec::kAuto, &blob);
+      if (static_cast<ColumnCodec>(blob[0]) != ColumnCodec::kRunLength ||
+          column.run_count() < 2) {
+        continue;
+      }
+      ++rle_levels;
+      // Bounds that admit only the column's first value at this level.
+      std::vector<ValueBounds> bounds(level);
+      bounds[level - 1].lo = column.runs().front().value;
+      bounds[level - 1].hi = column.runs().front().value;
+      uint64_t partial_before =
+          registry.GetCounter("storage.skip.partial_loads").value();
+      auto session = (*env)->NewSession();
+      auto got = session->LoadList(term, level, false, &bounds);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_NE(*got, nullptr);
+      const Column& loaded = (*got)->columns[level - 1];
+      ASSERT_EQ(loaded.run_count(), column.run_count())
+          << term << " level " << level;
+      for (size_t r = 0; r < column.run_count(); ++r) {
+        EXPECT_EQ(loaded.runs()[r], column.runs()[r]);
+      }
+      EXPECT_EQ(registry.GetCounter("storage.skip.partial_loads").value(),
+                partial_before);
+    }
+  }
+  EXPECT_GT(rle_levels, 0u) << "corpus produced no run-length column";
 
   JoinSearch memory_search(jindex, {});
   auto want = memory_search.Search({"alpha", "beta"});
-  auto disk = DiskJDeweyIndex::Open(path);
-  ASSERT_TRUE(disk.ok());
-  auto got = (*disk)->SearchComplete({"alpha", "beta"});
+  auto got = (*env)->NewSession()->SearchComplete({"alpha", "beta"});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ((*got)[i].node, want[i].node);
-    EXPECT_EQ((*got)[i].score, want[i].score);
-  }
+  ExpectSameResults(*got, want, "run-length image");
   CheckSkipTransparent(path, {{"alpha", "beta"}});
   std::remove(path.c_str());
+  std::remove((path + ".manifest").c_str());
 }
 
 TEST(SkipCorrectnessTest, DisableSkipEnvOverridesOptions) {
@@ -149,7 +183,7 @@ TEST(SkipCorrectnessTest, DisableSkipEnvOverridesOptions) {
   IndexBuilder builder(tree, build);
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
   std::string path = TempPath("skip_env");
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
 
   ASSERT_EQ(setenv("XTOPK_DISABLE_SKIP", "1", 1), 0);
   auto disabled = DiskIndexEnv::Open(path, {});
@@ -177,7 +211,7 @@ TEST(SkipCorrectnessTest, TopKAfterPartialLoadUpgradesToFull) {
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
   TopKIndex memory_topk = builder.BuildTopKIndex(jindex);
   std::string path = TempPath("skip_then_topk");
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
 
   DiskIndexOptions skip_on;
   skip_on.enable_skip = true;

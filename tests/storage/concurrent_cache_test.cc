@@ -188,7 +188,7 @@ TEST(ConcurrentServingTest, EightThreadSessionsMatchSingleThreaded) {
   IndexBuilder builder(tree, build_options);
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
   std::string path = TempPath("concurrent_serving_idx");
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
 
   const std::vector<std::vector<std::string>> queries = {
       {"alpha", "beta"},
@@ -250,7 +250,7 @@ TEST(ConcurrentServingTest, SharedCachesProduceHitsAcrossSessions) {
   IndexBuilder builder(tree);
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
   std::string path = TempPath("shared_cache_idx");
-  ASSERT_TRUE(DiskIndexWriter::Write(jindex, true, path).ok());
+  ASSERT_TRUE(DiskIndexWriter::Write(jindex, path).ok());
 
   DiskIndexOptions options;
   options.decoded_cache_bytes = 16u << 20;

@@ -127,10 +127,8 @@ struct SharedCorpus {
   DeweyIndex dindex;
   std::vector<WorkloadQuery> workload;
   std::vector<std::vector<SearchResult>> expected;
-  std::string v2_path;
-  std::string v1_path;
-  uint64_t observed_reads_v2 = 0;
-  uint64_t observed_reads_v1 = 0;
+  std::string image_path;
+  uint64_t observed_reads = 0;
 };
 
 std::vector<std::string> RunWorkloadChecked(const SharedCorpus& c,
@@ -170,38 +168,25 @@ const SharedCorpus& Corpus() {
     // every process rewrites the corpus at static-init — a shared name
     // lets a parallel sibling observe a half-written file.
     const std::string pid = std::to_string(static_cast<long>(::getpid()));
-    s->v2_path =
-        ::testing::TempDir() + "/fault_injection_v2_segment." + pid;
-    s->v1_path =
-        ::testing::TempDir() + "/fault_injection_v1_segment." + pid;
-    Status w2 = DiskIndexWriter::Write(s->jindex, /*include_scores=*/true,
-                                       s->v2_path, ColumnCodec::kAuto,
-                                       /*write_checksums=*/true);
-    Status w1 = DiskIndexWriter::Write(s->jindex, /*include_scores=*/true,
-                                       s->v1_path, ColumnCodec::kAuto,
-                                       /*write_checksums=*/false);
-    if (!w2.ok() || !w1.ok()) std::abort();
+    s->image_path = ::testing::TempDir() + "/fault_injection_image." + pid;
+    if (!DiskIndexWriter::Write(s->jindex, s->image_path).ok()) std::abort();
 
     // Observe pass: a kNone plan counts site calls without injecting, and
     // arming any plan before Open makes the environment route reads
     // through the fault-aware PageFile (same code path the sweep uses).
-    for (bool v2 : {true, false}) {
-      FaultPlan observe;
-      observe.kind = FaultKind::kNone;
-      FaultInjector::Global().SetPlan(observe);
-      auto env = DiskIndexEnv::Open(v2 ? s->v2_path : s->v1_path,
-                                    SweepOptions());
-      if (!env.ok()) std::abort();
-      // NOTE: pass *s explicitly — calling Corpus() here would re-enter
-      // the still-initializing static's guard and deadlock.
-      if (!RunWorkloadChecked(*s, env->get(), /*strict=*/true, "observe")
-               .empty()) {
-        std::abort();
-      }
-      uint64_t reads = FaultInjector::Global().CallCount("pagefile.read");
-      (v2 ? s->observed_reads_v2 : s->observed_reads_v1) = reads;
-      FaultInjector::Global().Clear();
+    FaultPlan observe;
+    observe.kind = FaultKind::kNone;
+    FaultInjector::Global().SetPlan(observe);
+    auto env = DiskIndexEnv::Open(s->image_path, SweepOptions());
+    if (!env.ok()) std::abort();
+    // NOTE: pass *s explicitly — calling Corpus() here would re-enter
+    // the still-initializing static's guard and deadlock.
+    if (!RunWorkloadChecked(*s, env->get(), /*strict=*/true, "observe")
+             .empty()) {
+      std::abort();
     }
+    s->observed_reads = FaultInjector::Global().CallCount("pagefile.read");
+    FaultInjector::Global().Clear();
     return s;
   }();
   return *shared;
@@ -302,7 +287,7 @@ void RunOneInjection(const SharedCorpus& c, const FaultPlan& plan,
 /// every observed read index of a full open + workload run, transient
 /// (count=1, the bounded retry must recover) and persistent (count=inf,
 /// a typed Status must surface), across several damage seeds, against the
-/// checksummed v2 segment. At least 1000 injections must actually fire.
+/// plain image. At least 1000 injections must actually fire.
 TEST(FaultInjectionTest, SweepChecksummedSegmentDetectsOrRecovers) {
   const SharedCorpus& c = Corpus();
   obs::Counter& injected = XTOPK_COUNTER("storage.fault.injected");
@@ -310,7 +295,7 @@ TEST(FaultInjectionTest, SweepChecksummedSegmentDetectsOrRecovers) {
 
   const FaultKind kKinds[] = {FaultKind::kBitFlip, FaultKind::kShortRead,
                               FaultKind::kTransientIoError};
-  const uint64_t reads = std::max<uint64_t>(c.observed_reads_v2, 1);
+  const uint64_t reads = std::max<uint64_t>(c.observed_reads, 1);
   // Sample at most ~48 trigger points per (kind, mode) so the sweep stays
   // bounded on large corpora while still covering open- and search-phase
   // reads end to end.
@@ -326,7 +311,7 @@ TEST(FaultInjectionTest, SweepChecksummedSegmentDetectsOrRecovers) {
           plan.trigger = trigger;
           plan.count = persistent ? UINT64_MAX : 1;
           plan.seed = damage_seed * 1000003ull + trigger;
-          RunOneInjection(c, plan, c.v2_path, "v2");
+          RunOneInjection(c, plan, c.image_path, "plain");
           if (HasFailure()) return;  // first failing tuple pins the repro
         }
       }
@@ -343,54 +328,27 @@ TEST(FaultInjectionTest, SweepChecksummedSegmentDetectsOrRecovers) {
 /// open and serve correctly again.
 TEST(FaultInjectionTest, TruncatedSegmentFailsOpenWithTypedStatus) {
   const SharedCorpus& c = Corpus();
-  for (const std::string& path : {c.v2_path, c.v1_path}) {
-    const std::string segment = path == c.v2_path ? "v2" : "v1";
-    for (uint64_t seed = 1; seed <= 20; ++seed) {
-      FaultPlan plan;
-      plan.kind = FaultKind::kTruncate;
-      plan.site = "pagefile.open";
-      plan.trigger = 0;
-      plan.seed = seed;
-      const std::string tuple = TupleString(plan, segment);
-      FaultInjector::Global().SetPlan(plan);
-      auto env = DiskIndexEnv::Open(path, FastRetryOptions());
-      if (env.ok() || !TypedStorageFailure(env.status())) {
-        std::string v = tuple + " : truncated open did not fail typed (" +
-                        env.status().ToString() + ")";
-        RecordFailingTuple(v);
-        ADD_FAILURE() << v;
-      }
-      FaultInjector::Global().Clear();
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    FaultPlan plan;
+    plan.kind = FaultKind::kTruncate;
+    plan.site = "pagefile.open";
+    plan.trigger = 0;
+    plan.seed = seed;
+    const std::string tuple = TupleString(plan, "plain");
+    FaultInjector::Global().SetPlan(plan);
+    auto env = DiskIndexEnv::Open(c.image_path, FastRetryOptions());
+    if (env.ok() || !TypedStorageFailure(env.status())) {
+      std::string v = tuple + " : truncated open did not fail typed (" +
+                      env.status().ToString() + ")";
+      RecordFailingTuple(v);
+      ADD_FAILURE() << v;
     }
-    auto env = DiskIndexEnv::Open(path, FastRetryOptions());
-    ASSERT_TRUE(env.ok()) << env.status().ToString();
-    ReportViolations(RunWorkloadChecked(c, env->get(), /*strict=*/true,
-                                        segment + " post-truncate-sweep"));
+    FaultInjector::Global().Clear();
   }
-}
-
-/// Legacy v1 segments carry no checksums, so payload damage (bit flips,
-/// short reads) can by design go undetected — the sweep for them uses the
-/// fault kinds the stack can still observe: transient and persistent I/O
-/// errors at every read index.
-TEST(FaultInjectionTest, LegacySegmentSurvivesDetectableFaults) {
-  const SharedCorpus& c = Corpus();
-  const uint64_t reads = std::max<uint64_t>(c.observed_reads_v1, 1);
-  const uint64_t stride = std::max<uint64_t>(1, reads / 48);
-  for (uint64_t damage_seed = 1; damage_seed <= 3; ++damage_seed) {
-    for (bool persistent : {false, true}) {
-      for (uint64_t trigger = 0; trigger < reads; trigger += stride) {
-        FaultPlan plan;
-        plan.kind = FaultKind::kTransientIoError;
-        plan.site = "pagefile.read";
-        plan.trigger = trigger;
-        plan.count = persistent ? UINT64_MAX : 1;
-        plan.seed = damage_seed * 999983ull + trigger;
-        RunOneInjection(c, plan, c.v1_path, "v1");
-        if (HasFailure()) return;
-      }
-    }
-  }
+  auto env = DiskIndexEnv::Open(c.image_path, FastRetryOptions());
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  ReportViolations(RunWorkloadChecked(c, env->get(), /*strict=*/true,
+                                      "plain post-truncate-sweep"));
 }
 
 /// Regression for the poisoned-session bug: a session whose column load
@@ -402,7 +360,7 @@ TEST(FaultInjectionTest, SessionRecoversAfterPartialLoadFailure) {
   FaultPlan observe;
   observe.kind = FaultKind::kNone;
   FaultInjector::Global().SetPlan(observe);
-  auto env = DiskIndexEnv::Open(c.v2_path, SweepOptions());
+  auto env = DiskIndexEnv::Open(c.image_path, SweepOptions());
   ASSERT_TRUE(env.ok()) << env.status().ToString();
 
   JoinSearchOptions options;
@@ -448,7 +406,7 @@ TEST(FaultInjectionTest, ConcurrentSessionsUnderFaultStayConsistent) {
   FaultPlan observe;
   observe.kind = FaultKind::kNone;
   FaultInjector::Global().SetPlan(observe);
-  auto env = DiskIndexEnv::Open(c.v2_path, FastRetryOptions());
+  auto env = DiskIndexEnv::Open(c.image_path, FastRetryOptions());
   ASSERT_TRUE(env.ok()) << env.status().ToString();
 
   FaultPlan plan;
@@ -457,7 +415,7 @@ TEST(FaultInjectionTest, ConcurrentSessionsUnderFaultStayConsistent) {
   plan.trigger = 4;
   plan.count = UINT64_MAX;
   plan.seed = 9001;
-  const std::string tuple = TupleString(plan, "v2 concurrent");
+  const std::string tuple = TupleString(plan, "plain concurrent");
   FaultInjector::Global().SetPlan(plan);
 
   std::mutex mu;
@@ -479,11 +437,10 @@ TEST(FaultInjectionTest, ConcurrentSessionsUnderFaultStayConsistent) {
                                       tuple + " post-clear"));
 }
 
-/// Compressed v3 corpus: a high-repetition document indexed with the DAG
-/// and dictionary enabled, written as a v3 container (front-coded term
-/// dictionary, DAG sidecar, dictionary-coded rows). Reuses the SharedCorpus
-/// shape so the same RunOneInjection machinery sweeps it: v2_path holds the
-/// v3 segment and observed_reads_v2 its read count.
+/// Compressed corpus: a high-repetition document indexed with the DAG and
+/// dictionary enabled, written as the compressed image (DAG sidecar,
+/// dictionary-coded rows). Reuses the SharedCorpus shape so the same
+/// RunOneInjection machinery sweeps it.
 const SharedCorpus& CompressedCorpus() {
   static SharedCorpus* shared = [] {
     auto* s = new SharedCorpus;
@@ -511,23 +468,25 @@ const SharedCorpus& CompressedCorpus() {
       s->expected.push_back(search.Search(query.keywords));
     }
 
-    s->v2_path = ::testing::TempDir() + "/fault_injection_v3_compressed";
-    DiskIndexWriter::Options v3;
-    v3.dict_terms = true;
-    v3.dag = true;
-    v3.dict_rows = true;
-    if (!DiskIndexWriter::Write(s->jindex, s->v2_path, v3).ok()) std::abort();
+    s->image_path = ::testing::TempDir() + "/fault_injection_compressed";
+    DiskIndexWriter::Options compressed;
+    compressed.dag = true;
+    compressed.dict_rows = true;
+    if (!DiskIndexWriter::Write(s->jindex, s->image_path, compressed).ok()) {
+      std::abort();
+    }
 
     FaultPlan observe;
     observe.kind = FaultKind::kNone;
     FaultInjector::Global().SetPlan(observe);
-    auto env = DiskIndexEnv::Open(s->v2_path, SweepOptions());
+    auto env = DiskIndexEnv::Open(s->image_path, SweepOptions());
     if (!env.ok()) std::abort();
-    if (!RunWorkloadChecked(*s, env->get(), /*strict=*/true, "observe v3")
+    if (!RunWorkloadChecked(*s, env->get(), /*strict=*/true,
+                            "observe compressed")
              .empty()) {
       std::abort();
     }
-    s->observed_reads_v2 = FaultInjector::Global().CallCount("pagefile.read");
+    s->observed_reads = FaultInjector::Global().CallCount("pagefile.read");
     FaultInjector::Global().Clear();
     return s;
   }();
@@ -535,7 +494,7 @@ const SharedCorpus& CompressedCorpus() {
 }
 
 /// The sweep for the compressed container: damage at every observed read
-/// index must be detected or recovered exactly like the plain v2 format —
+/// index must be detected or recovered exactly like the plain image —
 /// the dictionary, DAG sidecar and dictionary-coded row sections included
 /// (a corrupt sidecar must never crash or silently mistranslate a term,
 /// and a damaged dedup column must never expand to a wrong full column).
@@ -543,7 +502,7 @@ TEST(FaultInjectionTest, SweepCompressedV3SegmentDetectsOrRecovers) {
   const SharedCorpus& c = CompressedCorpus();
   const FaultKind kKinds[] = {FaultKind::kBitFlip, FaultKind::kShortRead,
                               FaultKind::kTransientIoError};
-  const uint64_t reads = std::max<uint64_t>(c.observed_reads_v2, 1);
+  const uint64_t reads = std::max<uint64_t>(c.observed_reads, 1);
   const uint64_t stride = std::max<uint64_t>(1, reads / 48);
   for (uint64_t damage_seed = 1; damage_seed <= 3; ++damage_seed) {
     for (FaultKind kind : kKinds) {
@@ -555,7 +514,7 @@ TEST(FaultInjectionTest, SweepCompressedV3SegmentDetectsOrRecovers) {
           plan.trigger = trigger;
           plan.count = persistent ? UINT64_MAX : 1;
           plan.seed = damage_seed * 1000033ull + trigger;
-          RunOneInjection(c, plan, c.v2_path, "v3_dict_dag");
+          RunOneInjection(c, plan, c.image_path, "compressed");
           if (HasFailure()) return;
         }
       }
@@ -574,9 +533,9 @@ TEST(FaultInjectionTest, TruncatedCompressedV3FailsOpenWithTypedStatus) {
     plan.site = "pagefile.open";
     plan.trigger = 0;
     plan.seed = seed;
-    const std::string tuple = TupleString(plan, "v3_dict_dag");
+    const std::string tuple = TupleString(plan, "compressed");
     FaultInjector::Global().SetPlan(plan);
-    auto env = DiskIndexEnv::Open(c.v2_path, FastRetryOptions());
+    auto env = DiskIndexEnv::Open(c.image_path, FastRetryOptions());
     if (env.ok() || !TypedStorageFailure(env.status())) {
       std::string v = tuple + " : truncated open did not fail typed (" +
                       env.status().ToString() + ")";
@@ -585,10 +544,10 @@ TEST(FaultInjectionTest, TruncatedCompressedV3FailsOpenWithTypedStatus) {
     }
     FaultInjector::Global().Clear();
   }
-  auto env = DiskIndexEnv::Open(c.v2_path, FastRetryOptions());
+  auto env = DiskIndexEnv::Open(c.image_path, FastRetryOptions());
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   ReportViolations(RunWorkloadChecked(c, env->get(), /*strict=*/true,
-                                      "v3_dict_dag post-truncate-sweep"));
+                                      "compressed post-truncate-sweep"));
 }
 
 /// The environment knob drives the same machinery: a parsed
@@ -600,7 +559,7 @@ TEST(FaultInjectionTest, EnvKnobSpecParsesAndInjects) {
       "kind=ioerror,site=pagefile.read,trigger=0,count=inf,seed=5");
   ASSERT_TRUE(plan.has_value());
   FaultInjector::Global().SetPlan(*plan);
-  auto env = DiskIndexEnv::Open(c.v2_path, FastRetryOptions());
+  auto env = DiskIndexEnv::Open(c.image_path, FastRetryOptions());
   EXPECT_FALSE(env.ok());
   if (!env.ok()) {
     EXPECT_TRUE(TypedStorageFailure(env.status()));

@@ -13,6 +13,7 @@
 
 #include "storage/column.h"
 #include "storage/segment_manifest.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace xtopk {
@@ -242,19 +243,52 @@ TEST(ManifestV2Test, HistogramsRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(ManifestV2Test, V1ManifestLoadsAsRowsOnly) {
+TEST(ManifestV2Test, RowsOnlyTermsLoadAndMergeAsRowsOnly) {
+  // A term persisted without histograms loads rows-only, and merging it
+  // (as a memtable's rows-only part merges) poisons the merged histograms
+  // instead of inventing a distribution for the missing part.
   SegmentManifest manifest = MakeManifestWithHistograms();
-  std::string path = TempPath("manifest_v1_compat");
-  ASSERT_TRUE(manifest.SaveV1(path).ok());
+  manifest.terms[1].levels.clear();
+  std::string path = TempPath("manifest_rows_only");
+  ASSERT_TRUE(manifest.Save(path).ok());
   auto loaded = SegmentManifest::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->terms.size(), 2u);
-  for (const auto& term : loaded->terms) {
-    EXPECT_TRUE(term.levels.empty()) << term.term;
-  }
-  EXPECT_EQ(loaded->terms[0].rows, 40u);
+  EXPECT_TRUE(loaded->terms[0].has_histograms());
+  EXPECT_FALSE(loaded->terms[1].has_histograms());
   EXPECT_EQ(loaded->terms[1].rows, 7u);
+
+  TermStats merged;
+  merged.Merge(loaded->terms[0], kMergedStatsBuckets);
+  EXPECT_TRUE(merged.has_histograms());
+  merged.Merge(loaded->terms[1], kMergedStatsBuckets);
+  EXPECT_EQ(merged.rows, 47u);
+  EXPECT_FALSE(merged.has_histograms());
   std::remove(path.c_str());
+}
+
+TEST(ManifestV2Test, EarlierManifestVersionsAreCorruption) {
+  // Earlier manifest versions carry a valid checksum but a retired magic:
+  // Load must name them Corruption, never parse them as the current
+  // layout.
+  for (const char* magic : {"XTKSMAN1", "XTKSMAN2"}) {
+    std::string buf(magic, 8);
+    // covered_nodes 42, one term "alpha" with rows 3, max_tf 2, 0 levels.
+    buf.append("\x2a\x01\x05" "alpha" "\x03\x02\x00", 11);
+    uint32_t crc = crc32c::Compute(buf);
+    for (int i = 0; i < 4; ++i) {
+      buf.push_back(static_cast<char>(crc >> (8 * i)));
+    }
+    std::string path = TempPath(std::string("manifest_") + magic);
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
+    std::fclose(f);
+    auto loaded = SegmentManifest::Load(path);
+    ASSERT_FALSE(loaded.ok()) << magic;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << magic;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ManifestV2Test, FlippedByteIsDetected) {
