@@ -197,18 +197,31 @@ void RunStructureAblation(const char* label, bool repeated, size_t groups,
     std::remove((p + ".manifest").c_str());
   }
 
-  // Interleaved best-of-3: alternating the two index forms cancels slow
-  // drift (frequency scaling, allocator state), and the max filters the
-  // one-sided stalls that would otherwise fake a regression.
+  // Interleaved best-of-5: the two index forms take turns, and the form
+  // timed first alternates between repeats, so neither always inherits
+  // the other's cache and allocator state. Alternation cancels slow drift
+  // (frequency scaling), and the max filters the one-sided stalls that
+  // would otherwise fake a regression.
   uint64_t sum_plain = 0, sum_comp = 0;
   uint64_t isum_plain = 0, isum_comp = 0;
   double e2e_plain = 0, e2e_comp = 0, join_plain = 0, join_comp = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    e2e_plain = std::max(e2e_plain, StructureJoinQps(plain, &sum_plain));
-    e2e_comp = std::max(e2e_comp, StructureJoinQps(comp, &sum_comp));
-    join_plain =
-        std::max(join_plain, StructureIntersectQps(plain, &isum_plain));
-    join_comp = std::max(join_comp, StructureIntersectQps(comp, &isum_comp));
+  for (int rep = 0; rep < 5; ++rep) {
+    for (int turn = 0; turn < 2; ++turn) {
+      if ((rep + turn) % 2 == 0) {
+        e2e_plain = std::max(e2e_plain, StructureJoinQps(plain, &sum_plain));
+      } else {
+        e2e_comp = std::max(e2e_comp, StructureJoinQps(comp, &sum_comp));
+      }
+    }
+    for (int turn = 0; turn < 2; ++turn) {
+      if ((rep + turn) % 2 == 0) {
+        join_plain =
+            std::max(join_plain, StructureIntersectQps(plain, &isum_plain));
+      } else {
+        join_comp =
+            std::max(join_comp, StructureIntersectQps(comp, &isum_comp));
+      }
+    }
   }
   bool match = sum_plain == sum_comp && isum_plain == isum_comp;
   if (!match) {

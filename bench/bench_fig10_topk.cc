@@ -13,15 +13,14 @@
 //       complete evaluation; RDIL is much less effective.
 //
 // "topk-join" is the paper's star join, unbounded (fallback_to_complete
-// off). The "topk-hybrid" column runs the §V-D per-level hybrid (sweep a
-// column completely when its estimated match count is small, star-join it
-// otherwise), also unbounded. "auto" is the library default: the star join
-// under its entry budget, giving way to complete+sort when the budget runs
-// out, so its loss against complete+sort is bounded by the budget.
+// off). "auto" is the library default: the star join under its entry
+// budget, giving way to complete+sort when the budget runs out, so its
+// loss against complete+sort is bounded by the budget. This query-level
+// choice is how the library realises §V-D (star join only where it pays).
 //
 // Every cell is the mean over the row's queries of each query's fastest of
 // three timings. One `BENCH {"bench":"fig10_topk",...}` line per row
-// carries the four join columns for the CI perf-smoke gate.
+// carries the three join columns for the CI perf-smoke gate.
 
 #include <algorithm>
 #include <cstdio>
@@ -41,7 +40,6 @@ constexpr int kRepeats = 3;
 
 struct Measure {
   double topk_ms = 0;
-  double hybrid_ms = 0;
   double auto_ms = 0;
   double complete_ms = 0;
   double rdil_ms = 0;
@@ -75,11 +73,8 @@ Measure RunQueries(const xtopk::XmlTree& tree,
   Measure m;
   xtopk::TopKSearchOptions star;  // the paper's star join, unbounded
   star.fallback_to_complete = false;
-  xtopk::TopKSearchOptions hybrid = star;
-  hybrid.hybrid_min_matches = 32.0;  // §V-D: sweep low-cardinality columns
   for (const auto& query : queries) {
     m.topk_ms += TopKMs(topk_index, query, star);
-    m.hybrid_ms += TopKMs(topk_index, query, hybrid);
     m.auto_ms += TopKMs(topk_index, query, xtopk::TopKSearchOptions{});
     m.complete_ms += MinOfRepeatsMs([&] {
       xtopk::JoinSearch search(jindex);
@@ -94,28 +89,25 @@ Measure RunQueries(const xtopk::XmlTree& tree,
       search.Search(query);
     });
   }
-  for (double* ms : {&m.topk_ms, &m.hybrid_ms, &m.auto_ms, &m.complete_ms,
-                     &m.rdil_ms}) {
+  for (double* ms : {&m.topk_ms, &m.auto_ms, &m.complete_ms, &m.rdil_ms}) {
     *ms /= queries.size();
   }
   return m;
 }
 
 void PrintHeader(const char* first, int width) {
-  std::printf("%-*s %14s %14s %14s %16s %12s\n", width, first, "topk-join",
-              "topk-hybrid", "auto", "complete+sort", "RDIL");
+  std::printf("%-*s %14s %14s %16s %12s\n", width, first, "topk-join",
+              "auto", "complete+sort", "RDIL");
 }
 
 void Report(const std::string& figure, const std::string& row, int width,
             const Measure& m) {
-  std::printf("%-*s %11.3f ms %11.3f ms %11.3f ms %13.3f ms %9.3f ms\n",
-              width, row.c_str(), m.topk_ms, m.hybrid_ms, m.auto_ms,
-              m.complete_ms, m.rdil_ms);
+  std::printf("%-*s %11.3f ms %11.3f ms %13.3f ms %9.3f ms\n", width,
+              row.c_str(), m.topk_ms, m.auto_ms, m.complete_ms, m.rdil_ms);
   xtopk::bench::BenchJson("fig10_topk")
       .Field("figure", figure)
       .Field("row", row)
       .Field("topk_ms", m.topk_ms)
-      .Field("hybrid_ms", m.hybrid_ms)
       .Field("auto_ms", m.auto_ms)
       .Field("complete_ms", m.complete_ms)
       .Emit();

@@ -10,7 +10,8 @@
 
 namespace xtopk {
 
-/// The per-level intersection step of JoinSearch / TopKSearch, made
+/// The per-level intersection step of JoinSearch (and so of top-K's
+/// complete route), made
 /// structure-aware: when every list carries a deduplicated column at this
 /// level's shared regions, the intersection runs over the dedup columns
 /// (each shared subtree is joined ONCE) and the matches inside a

@@ -69,7 +69,7 @@ using IntersectStepFn =
 /// `columns[0]` and folds each subsequent column in, re-making the §III-C
 /// dynamic merge/gallop/probe choice per step. `columns` must already be in
 /// join order and non-null. This is THE intersection implementation — the
-/// complete-result join and the top-K hybrid sweep both call it.
+/// complete-result join and top-K's complete route both run it.
 std::vector<LevelMatch> IntersectColumns(
     const std::vector<const Column*>& columns, const PlannerOptions& planner,
     JoinOpStats* stats, const IntersectStepFn& on_step = nullptr);

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
-#include <optional>
 #include <queue>
 #include <unordered_map>
+#include <unordered_set>
 
-#include "core/dag_join.h"
-#include "core/join_ops.h"
-#include "core/join_planner.h"
 #include "core/join_search.h"
 #include "obs/accounting.h"
 #include "obs/metrics.h"
@@ -27,8 +23,6 @@ void FlushTopKStatsToRegistry(const TopKSearchStats& stats) {
   XTOPK_COUNTER("core.topk.early_emissions").Add(stats.early_emissions);
   XTOPK_COUNTER("core.topk.columns_processed").Add(stats.columns_processed);
   XTOPK_COUNTER("core.topk.columns_star_join").Add(stats.columns_star_join);
-  XTOPK_COUNTER("core.topk.columns_complete_join")
-      .Add(stats.columns_complete_join);
   XTOPK_COUNTER("core.topk.columns_value_skipped")
       .Add(stats.columns_value_skipped);
   if (stats.deadline_expired) {
@@ -181,41 +175,13 @@ class ColumnCursor {
   bool has_head_ = false;
 };
 
-/// Sampled match-count estimate for one level: overlap rate of the
-/// smaller column's run values in the larger, scaled up (§V-D: "join
-/// cardinality is re-estimated for different contexts").
-double EstimateLevelMatches(const std::vector<const TopKList*>& lists,
-                            uint32_t level, size_t sample_runs) {
-  const Column* a = nullptr;
-  const Column* b = nullptr;
-  for (const TopKList* list : lists) {
-    const Column& col = list->base->column(level);
-    if (a == nullptr || col.run_count() < a->run_count()) {
-      b = a;
-      a = &col;
-    } else if (b == nullptr || col.run_count() < b->run_count()) {
-      b = &col;
-    }
-  }
-  if (a == nullptr || b == nullptr || a->empty() || b->empty()) {
-    return a == nullptr || a->empty() ? 0.0
-                                      : static_cast<double>(a->run_count());
-  }
-  size_t stride = std::max<size_t>(1, a->run_count() / sample_runs);
-  size_t sampled = 0, hits = 0;
-  for (size_t i = 0; i < a->run_count(); i += stride) {
-    ++sampled;
-    if (b->FindValue(a->runs()[i].value) != nullptr) ++hits;
-  }
-  if (sampled == 0) return 0.0;
-  return static_cast<double>(hits) / static_cast<double>(sampled) *
-         static_cast<double>(a->run_count());
-}
-
 }  // namespace
 
 TopKSearch::TopKSearch(const TopKIndex& index, TopKSearchOptions options)
-    : index_(&index), options_(options) {}
+    : memory_(std::in_place, *index.base()),
+      source_(&*memory_),
+      prebuilt_(&index),
+      options_(options) {}
 
 TopKSearch::TopKSearch(TermSource* source, TopKSearchOptions options)
     : source_(source), options_(options) {}
@@ -247,14 +213,14 @@ std::vector<SearchResult> TopKSearch::Search(
     return deadline_stop("expired before list resolution");
   }
 
+  // Every term is materialized in full (score-ordered access touches
+  // arbitrary rows, so bounded loads don't apply) and paired with its
+  // score order. Two phases — a later Resolve may move earlier lists, so
+  // pointers are taken once every term is loaded. Queries too wide for the
+  // star join's source mask resolve nothing here: the complete route
+  // resolves for itself.
   std::vector<const TopKList*> lists;
-  if (keywords.size() > kMaxStarJoinSources) {
-    // Too wide for the star join's source mask: no score-ordered lists.
-  } else if (source_ != nullptr) {
-    // Posting-source mode: materialize every term fully (score-ordered
-    // access touches arbitrary rows, so bounded loads don't apply), then
-    // derive the score-ordered segments per term. Two phases — a later
-    // Resolve may invalidate earlier pointers.
+  if (keywords.size() <= kMaxStarJoinSources) {
     for (const std::string& kw : keywords) {
       // Resolve call site = deadline checkpoint: each materialization may
       // cost real I/O, so the budget is re-checked before every term.
@@ -268,7 +234,8 @@ std::vector<SearchResult> TopKSearch::Search(
         return finish(list.ok() ? "missing_term" : "resolve_error");
       }
     }
-    query_lists_.reserve(keywords.size());
+    lists.reserve(keywords.size());
+    if (prebuilt_ == nullptr) query_lists_.reserve(keywords.size());
     for (const std::string& kw : keywords) {
       if (options_.deadline.expired()) {
         return deadline_stop("expired during list resolution");
@@ -278,16 +245,12 @@ std::vector<SearchResult> TopKSearch::Search(
         last_status_ = list.status();
         return finish("resolve_error");
       }
-      query_lists_.push_back(BuildTopKListFor(**list));
-    }
-    for (const TopKList& list : query_lists_) lists.push_back(&list);
-  } else {
-    for (const std::string& kw : keywords) {
-      const TopKList* list = index_->GetList(kw);
-      if (list == nullptr || list->base->num_rows() == 0) {
-        return finish("missing_term");
+      if (prebuilt_ != nullptr) {
+        lists.push_back(prebuilt_->GetList(kw));
+      } else {
+        lists.push_back(&query_lists_.emplace_back(BuildTopKListFor(**list)));
       }
-      lists.push_back(list);
+      assert(lists.back()->base == *list);
     }
   }
 
@@ -300,7 +263,7 @@ std::vector<SearchResult> TopKSearch::Search(
       budget = stats_.budget = total_rows / kStarJoinBudgetDivisor;
       root.Stat("budget", static_cast<double>(budget));
     }
-    proven = StarJoin(keywords, lists, budget, &emitted);
+    proven = StarJoin(lists, budget, &emitted);
   }
   if (!proven) emitted = CompleteJoin(keywords, std::move(emitted));
   if (root.enabled()) {
@@ -329,14 +292,10 @@ std::vector<SearchResult> TopKSearch::CompleteJoin(
   JoinSearchOptions join_options;
   join_options.semantics = options_.semantics;
   join_options.scoring = options_.scoring;
-  join_options.use_planner = options_.use_planner;
   join_options.plan_cache = options_.plan_cache;
   join_options.deadline = options_.deadline;
   join_options.trace = options_.trace;
-  std::optional<MemoryTermSource> memory;
-  TermSource* source =
-      source_ != nullptr ? source_ : &memory.emplace(*index_->base());
-  JoinSearch search(source, join_options);
+  JoinSearch search(source_, join_options);
   std::vector<SearchResult> results = search.Search(keywords);
   stats_.planned = search.stats().planned;
   stats_.plan_cache_hit = search.stats().plan_cache_hit;
@@ -355,60 +314,17 @@ std::vector<SearchResult> TopKSearch::CompleteJoin(
   return results;
 }
 
-bool TopKSearch::StarJoin(const std::vector<std::string>& keywords,
-                          const std::vector<const TopKList*>& lists,
+bool TopKSearch::StarJoin(const std::vector<const TopKList*>& lists,
                           uint64_t budget,
                           std::vector<SearchResult>* emitted_out) {
   std::vector<SearchResult>& emitted = *emitted_out;
   const size_t k_sources = lists.size();
   assert(k_sources <= kMaxStarJoinSources);  // Search routes wider queries
   const uint32_t full_mask = (1u << k_sources) - 1;
-  auto node_at = [&](uint32_t level, uint32_t value) {
-    return source_ != nullptr ? source_->NodeAt(level, value)
-                              : index_->base()->NodeAt(level, value);
-  };
 
   uint32_t start_level = lists[0]->base->max_length;
   for (const TopKList* list : lists) {
     start_level = std::min<uint32_t>(start_level, list->base->max_length);
-  }
-
-  // One cost-based plan per query for the §V-D complete-join sweeps:
-  // histogram-estimated join order and per-step algorithms, shared across
-  // every swept level (cached exactly like the complete-search path; a
-  // prebuilt TopKIndex is immutable, so its watermark is constant).
-  std::shared_ptr<const JoinPlan> plan;
-  std::vector<size_t> plan_order;
-  if (options_.use_planner && options_.hybrid_min_matches > 0.0 &&
-      !PlannerDisabledByEnv()) {
-    uint64_t fingerprint = PlanFingerprint(keywords);
-    uint64_t watermark = source_ != nullptr ? source_->PlanWatermark() : 1;
-    if (options_.plan_cache != nullptr) {
-      plan = options_.plan_cache->Lookup(fingerprint, watermark);
-      stats_.plan_cache_hit = plan != nullptr;
-    }
-    if (plan == nullptr) {
-      std::vector<TermPlanInput> inputs(k_sources);
-      for (size_t i = 0; i < k_sources; ++i) {
-        inputs[i].term = keywords[i];
-        inputs[i].rows = lists[i]->base->num_rows();
-        inputs[i].stats = source_ != nullptr
-                              ? source_->Stats(keywords[i])
-                              : index_->base()->StatsOf(keywords[i]);
-      }
-      auto built = std::make_shared<JoinPlan>(
-          PlanJoin(std::move(inputs), start_level, PlannerOptions{}));
-      built->fingerprint = fingerprint;
-      built->watermark = watermark;
-      if (options_.plan_cache != nullptr) options_.plan_cache->Insert(built);
-      plan = std::move(built);
-    }
-    plan_order = MapPlanOrder(*plan, keywords, start_level);
-    if (plan_order.empty()) {
-      plan = nullptr;
-    } else {
-      stats_.planned = true;
-    }
   }
 
   // Static per-column upper bounds B(l) = Σ_i s_m^i(l) and the running
@@ -449,7 +365,7 @@ bool TopKSearch::StarJoin(const std::vector<std::string>& keywords,
     while (!pending.empty() && emitted.size() < options_.k &&
            pending.top().score >= bound) {
       const Pending& top = pending.top();
-      NodeId node = node_at(top.level, top.value);
+      NodeId node = source_->NodeAt(top.level, top.value);
       assert(node != kInvalidNode);
       emitted.push_back(SearchResult{node, top.level, top.score});
       pending.pop();
@@ -467,8 +383,7 @@ bool TopKSearch::StarJoin(const std::vector<std::string>& keywords,
           "expired at column " + std::to_string(level));
       break;
     }
-    // Column boundary = budget checkpoint too (a complete-join sweep reads
-    // a level's matching runs in one go).
+    // Column boundary = budget checkpoint too.
     if (stats_.entries_read >= budget) return false;
     ++stats_.columns_processed;
     obs::ScopedSpan column_span(
@@ -506,118 +421,24 @@ bool TopKSearch::StarJoin(const std::vector<std::string>& keywords,
     // keyword's column, so if the columns' [first, last] value ranges have
     // an empty intersection the whole level is a no-op — no candidates, no
     // pruner updates — and only the emission bookkeeping remains.
-    if (options_.value_range_skip) {
-      uint32_t lo = 0, hi = UINT32_MAX;
-      bool possible = true;
-      for (const TopKList* list : lists) {
-        const Column& col = list->base->column(level);
-        if (col.empty()) {
-          possible = false;
-          break;
-        }
-        lo = std::max(lo, col.runs().front().value);
-        hi = std::min(hi, col.runs().back().value);
+    uint32_t lo = 0, hi = UINT32_MAX;
+    bool possible = true;
+    for (const TopKList* list : lists) {
+      const Column& col = list->base->column(level);
+      if (col.empty()) {
+        possible = false;
+        break;
       }
-      if (!possible || lo > hi) {
-        ++stats_.columns_value_skipped;
-        emit_ready(best_above[level]);
-        close_column_span("value_skip", best_above[level]);
-        continue;
-      }
+      lo = std::max(lo, col.runs().front().value);
+      hi = std::min(hi, col.runs().back().value);
     }
-
-    // §V-D per-level hybrid: a column whose estimated match count is small
-    // is cheaper to sweep completely (document order) than to drive
-    // through the score-ordered star join.
-    if (options_.hybrid_min_matches > 0.0 &&
-        EstimateLevelMatches(lists, level, options_.hybrid_sample_runs) <
-            options_.hybrid_min_matches) {
-      ++stats_.columns_complete_join;
-      // Left-deep intersection of the base columns: planned order and
-      // algorithms when a plan exists, otherwise shortest-run-count first.
-      // DAG-carrying lists intersect their dedup columns and fan shared
-      // matches out (bit-identical, see core/dag_join.h).
-      std::vector<size_t> order;
-      JoinOpStats join_stats;
-      std::vector<const JDeweyList*> ordered(k_sources);
-      std::deque<Run> dag_arena;  // backs translated runs for this level
-      std::vector<LevelMatch> matches;
-      if (plan != nullptr) {
-        order = plan_order;
-        for (size_t j = 0; j < k_sources; ++j) {
-          ordered[j] = lists[order[j]]->base;
-        }
-        std::vector<JoinAlgo> algos(k_sources - 1);
-        for (size_t j = 1; j < k_sources; ++j) {
-          algos[j - 1] = plan->steps[j].algos[level - 1];
-        }
-        matches = IntersectListsAtLevel(ordered, level, &algos,
-                                        PlannerOptions{}, &join_stats, nullptr,
-                                        &dag_arena);
-      } else {
-        std::vector<size_t> sizes(k_sources);
-        for (size_t i = 0; i < k_sources; ++i) {
-          sizes[i] = lists[i]->base->column(level).run_count();
-        }
-        order = PlanJoinOrder(sizes, keywords);
-        for (size_t j = 0; j < k_sources; ++j) {
-          ordered[j] = lists[order[j]]->base;
-        }
-        matches = IntersectListsAtLevel(ordered, level, nullptr,
-                                        PlannerOptions{}, &join_stats, nullptr,
-                                        &dag_arena);
-      }
-      for (const LevelMatch& match : matches) {
-        // Per keyword: the best non-excluded occurrence in the run. A
-        // keyword whose run is fully consumed kills the candidate — the
-        // same validity rule the star join enforces by skipping excluded
-        // entries.
-        double sum = 0.0;
-        size_t witness_source = 0;
-        uint32_t witness_row = 0;
-        bool valid = true;
-        for (size_t j = 0; j < k_sources && valid; ++j) {
-          size_t query_pos = order[j];
-          const JDeweyList& base = *lists[query_pos]->base;
-          const Run* run = match.runs[j];
-          double best = -1.0;
-          for (uint32_t row = run->first_row; row < run->end_row(); ++row) {
-            ++stats_.entries_read;
-            if (pruner.Excluded(base, row, level)) {
-              ++stats_.excluded_skips;
-              continue;
-            }
-            double damped = DampedScore(options_.scoring, base.scores[row],
-                                        base.lengths[row], level);
-            if (damped > best) {
-              best = damped;
-              witness_source = query_pos;
-              witness_row = row;
-            }
-          }
-          if (best < 0.0) {
-            valid = false;
-          } else {
-            sum += best;
-          }
-        }
-        if (!valid) continue;
-        ++stats_.candidates;
-        bool is_result = true;
-        if (options_.semantics == Semantics::kSlca) {
-          is_result = !pruner.Blocked(level, match.value);
-        }
-        pruner.RecordMatch(level, match.value, *lists[witness_source]->base,
-                           witness_row);
-        if (is_result) {
-          pending.push(Pending{level, match.value, sum});
-          ++completed_total;
-        }
-      }
+    if (!possible || lo > hi) {
+      ++stats_.columns_value_skipped;
       emit_ready(best_above[level]);
-      close_column_span("complete_join", best_above[level]);
+      close_column_span("value_skip", best_above[level]);
       continue;
     }
+
     ++stats_.columns_star_join;
     std::vector<ColumnCursor> cursors;
     cursors.reserve(k_sources);

@@ -2,8 +2,8 @@
 #define XTOPK_CORE_TOPK_SEARCH_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/plan_cache.h"
@@ -24,25 +24,6 @@ struct TopKSearchOptions {
   size_t k = 10;
   /// Paper's grouped star-join threshold; false = classic TA-style bound.
   bool group_threshold = true;
-  /// §V-D per-level hybrid: before each column's star join, estimate its
-  /// match count by sampling run overlap; below `hybrid_min_matches` the
-  /// column is evaluated with a complete join sweep instead (the star join
-  /// "should only be used at the current level when the result size is
-  /// estimated to be large"). 0 disables the hybrid (always star join).
-  double hybrid_min_matches = 0.0;
-  /// Runs sampled per column for the hybrid estimate.
-  size_t hybrid_sample_runs = 128;
-  /// Skip a column outright when the value ranges of the keywords' columns
-  /// at that level have an empty intersection — no value can complete, so
-  /// neither results nor pruner state can change (bit-identical output).
-  /// The ranges come from the columns' first/last runs, i.e. the same
-  /// min/max the on-disk block skip directory carries.
-  bool value_range_skip = true;
-  /// Cost-based planning for the §V-D complete-join sweeps: join order and
-  /// per-step algorithms come from the histogram planner (one plan per
-  /// query, cached) instead of per-level run counts. Star-join columns are
-  /// unaffected. XTOPK_DISABLE_PLANNER forces this off.
-  bool use_planner = true;
   /// Shared plan cache (usually the engine's). Null plans per query.
   PlanCache* plan_cache = nullptr;
   /// Per-query time budget, checked at every TermSource::Resolve call
@@ -73,11 +54,10 @@ struct TopKSearchStats {
   uint64_t candidates = 0;       ///< values completed across all keywords
   uint64_t early_emissions = 0;  ///< results released before exhaustion
   uint32_t columns_processed = 0;
-  uint32_t columns_star_join = 0;      ///< per-level hybrid: star-join mode
-  uint32_t columns_complete_join = 0;  ///< per-level hybrid: sweep mode
+  uint32_t columns_star_join = 0;      ///< columns the star join ran on
   uint32_t columns_value_skipped = 0;  ///< empty value-range intersection
-  /// Whether the last query carried a cost-based plan for its sweeps, and
-  /// whether that plan came out of the cache.
+  /// Whether the complete route carried a cost-based plan, and whether
+  /// that plan came out of the cache.
   bool planned = false;
   bool plan_cache_hit = false;
   /// The deadline expired mid-query: the result set is a (possibly empty)
@@ -110,13 +90,22 @@ inline constexpr size_t kMaxStarJoinSources = 31;
 /// the fly), each column runs the top-K star join of §IV-B, the semantic
 /// pruning excludes occurrences consumed by deeper results, and a result is
 /// released as soon as its score dominates both the current column's
-/// star-join bound and the static upper bounds of all higher columns.
-/// Under the default budget a star join that cannot prove k results cheaply
-/// gives way to the complete join (see fallback_to_complete).
+/// star-join bound and the static upper bounds of all higher columns. A
+/// column whose keywords' value ranges (first/last run, the same min/max
+/// the on-disk block skip directory carries) do not intersect cannot
+/// complete any value and is skipped outright. Under the default budget a
+/// star join that cannot prove k results cheaply gives way to the complete
+/// join (see fallback_to_complete).
+///
+/// Every list is resolved, materialized and mapped back to nodes through
+/// one TermSource; the two constructors differ only in where the
+/// score-ordered TopKLists come from.
 class TopKSearch {
  public:
-  /// Over a prebuilt score-ordered index (the engine's steady-state path —
-  /// segments are computed once at build time).
+  /// Over a prebuilt score-ordered index (the engine's steady-state path):
+  /// reads go through a MemoryTermSource over `index.base()`, and the
+  /// index's lists supply the score order, computed once at build time.
+  /// `index` must outlive the TopKSearch.
   explicit TopKSearch(const TopKIndex& index, TopKSearchOptions options = {});
 
   /// Over any posting source: the queried terms' lists are materialized in
@@ -124,6 +113,9 @@ class TopKSearch {
   /// and segmented paths do anyway — only the touched terms pay). `source`
   /// must outlive the TopKSearch.
   explicit TopKSearch(TermSource* source, TopKSearchOptions options = {});
+
+  TopKSearch(const TopKSearch&) = delete;
+  TopKSearch& operator=(const TopKSearch&) = delete;
 
   /// Returns up to `options.k` results in descending score order. An I/O
   /// failure inside the source yields an empty set — check status(). On
@@ -139,8 +131,7 @@ class TopKSearch {
  private:
   /// The star join over `lists`, column by column, appending proven results
   /// to `emitted`. Returns false when the entry budget ran out first.
-  bool StarJoin(const std::vector<std::string>& keywords,
-                const std::vector<const TopKList*>& lists, uint64_t budget,
+  bool StarJoin(const std::vector<const TopKList*>& lists, uint64_t budget,
                 std::vector<SearchResult>* emitted);
 
   /// The complete route: JoinSearch over the same posting source, then the
@@ -150,13 +141,17 @@ class TopKSearch {
       const std::vector<std::string>& keywords,
       std::vector<SearchResult> proven);
 
-  const TopKIndex* index_ = nullptr;  // prebuilt-index mode
-  TermSource* source_ = nullptr;      // posting-source mode
+  /// Backs source_ for the TopKIndex constructor.
+  std::optional<MemoryTermSource> memory_;
+  TermSource* source_ = nullptr;
+  /// Prebuilt score order (TopKIndex constructor); null derives it per
+  /// query into query_lists_.
+  const TopKIndex* prebuilt_ = nullptr;
   TopKSearchOptions options_;
   TopKSearchStats stats_;
   Status last_status_ = Status::Ok();
-  /// Source mode: per-query score-ordered companions of the resolved lists
-  /// (kept alive for the duration of Search).
+  /// Per-query score-ordered companions of the resolved lists (kept alive
+  /// for the duration of Search).
   std::vector<TopKList> query_lists_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <queue>
+#include <unordered_set>
 
 #include "obs/metrics.h"
 
@@ -17,7 +18,6 @@ void FlushStarJoinStatsToRegistry(const StarJoinStats& stats) {
   XTOPK_COUNTER("core.topk.star.runs").Add(1);
   XTOPK_COUNTER("core.topk.star.tuples_read").Add(stats.tuples_read);
   XTOPK_COUNTER("core.topk.star.early_emissions").Add(stats.early_emissions);
-  XTOPK_COUNTER("core.topk.star.tuples_skipped").Add(stats.tuples_skipped);
   XTOPK_HISTOGRAM("core.topk.star.bucket_peak").Record(stats.bucket_peak);
 }
 
@@ -137,6 +137,7 @@ std::vector<StarJoinResultRow> TopKStarJoin::Run() {
     double sum = 0.0;
   };
   std::unordered_map<uint64_t, Partial> bucket;
+  std::unordered_set<uint64_t> completed_ids;
 
   // Completed results not yet provably in the top k.
   struct Pending {
@@ -206,12 +207,9 @@ std::vector<StarJoinResultRow> TopKStarJoin::Run() {
     threshold.SetHeadScore(
         chosen, next ? next->score : StarThreshold::kExhausted);
 
-    // Probe-bound skip: an id the caller proved unjoinable never enters
-    // the bucket. The head-score update above already happened, so the
-    // threshold still upper-bounds every remaining completion.
-    if (options_.use_id_bounds &&
-        (tuple.id < options_.id_lo || tuple.id > options_.id_hi)) {
-      ++stats_.tuples_skipped;
+    // A completed id left the bucket; a later duplicate of it must not
+    // start a second partial.
+    if (completed_ids.count(tuple.id) > 0) {
       flush(/*inputs_live=*/true);
       continue;
     }
@@ -229,6 +227,7 @@ std::vector<StarJoinResultRow> TopKStarJoin::Run() {
     if (partial.mask == full_mask) {
       pending.push(Pending{tuple.id, partial.sum});
       ++completed;
+      completed_ids.insert(tuple.id);
       bucket.erase(tuple.id);
     } else {
       threshold.AddPartial(partial.mask, partial.sum);

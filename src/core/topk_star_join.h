@@ -83,16 +83,6 @@ struct StarJoinOptions {
   /// Use the paper's grouped threshold (§IV-B); false = classic bound
   /// (ablation A2 and the tightness tests).
   bool group_threshold = true;
-  /// Optional id probe bounds: when set, tuples with id outside
-  /// [id_lo, id_hi] are dropped right after their head score feeds the
-  /// threshold — they never enter the partial bucket. Sound only when the
-  /// caller guarantees every joinable id lies inside the bounds (e.g. the
-  /// bounds come from the value range of the smallest input's column); the
-  /// threshold stays an upper bound because dropping a tuple can only
-  /// remove completions the caller already knows cannot exist.
-  bool use_id_bounds = false;
-  uint64_t id_lo = 0;
-  uint64_t id_hi = UINT64_MAX;
 };
 
 struct StarJoinResultRow {
@@ -107,13 +97,14 @@ struct StarJoinStats {
   uint64_t tuples_read = 0;
   uint64_t early_emissions = 0;
   uint64_t bucket_peak = 0;
-  uint64_t tuples_skipped = 0;  ///< dropped by the id probe bounds
 };
 
 /// The top-K star join R_1.id = ... = R_k.id with SUM scoring (§IV-B):
 /// reads one tuple at a time (round-robin until k results exist, then from
 /// the input with the highest next score), hash-joins partials, and emits a
 /// completed result as soon as its score reaches the unseen-result bound.
+/// An id is joined once per input: a later (lower-scored) occurrence in
+/// the same input is ignored, also after the id has completed (§III-B).
 class TopKStarJoin {
  public:
   TopKStarJoin(std::vector<RankedSource*> sources, StarJoinOptions options);

@@ -15,17 +15,6 @@ namespace xtopk {
 
 namespace {
 
-/// The lookup form of a manifest.
-std::unordered_map<std::string, std::pair<uint32_t, uint32_t>> StatsOf(
-    const SegmentManifest& manifest) {
-  std::unordered_map<std::string, std::pair<uint32_t, uint32_t>> stats;
-  stats.reserve(manifest.terms.size());
-  for (const SegmentTermStats& t : manifest.terms) {
-    stats.emplace(t.term, std::make_pair(t.rows, t.max_tf));
-  }
-  return stats;
-}
-
 uint64_t FileBytes(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
@@ -39,7 +28,6 @@ std::shared_ptr<const SealedSegment> SealedSegment::FromMemory(
   auto sealed = std::shared_ptr<SealedSegment>(new SealedSegment());
   sealed->manifest_ = ManifestFromSegment(segment);
   sealed->manifest_.covered_nodes = covered_nodes;
-  sealed->stats_ = StatsOf(sealed->manifest_);
   sealed->memory_ =
       std::make_unique<const JDeweyIndex>(std::move(segment));
   return sealed;
@@ -55,7 +43,6 @@ StatusOr<std::shared_ptr<const SealedSegment>> SealedSegment::FromDisk(
   if (!(*env)->manifest().ok()) return (*env)->manifest().status();
   auto sealed = std::shared_ptr<SealedSegment>(new SealedSegment());
   sealed->env_ = *env;
-  sealed->stats_ = StatsOf(sealed->manifest());
   sealed->id_ = id;
   sealed->path_ = path;
   sealed->data_bytes_ = FileBytes(path);
@@ -70,6 +57,17 @@ SealedSegment::~SealedSegment() {
     std::remove(path_.c_str());
     std::remove((path_ + ".manifest").c_str());
   }
+}
+
+const SegmentTermStats* SealedSegment::FindTerm(
+    const std::string& term) const {
+  const std::vector<SegmentTermStats>& terms = manifest().terms;
+  auto it = std::lower_bound(
+      terms.begin(), terms.end(), term,
+      [](const SegmentTermStats& a, const std::string& t) {
+        return a.term < t;
+      });
+  return it != terms.end() && it->term == term ? &*it : nullptr;
 }
 
 uint32_t SealedSegment::MaxLengthOf(const std::string& term) const {
@@ -106,8 +104,8 @@ SegmentSetVersion::~SegmentSetVersion() {
 uint32_t SegmentSetVersion::Frequency(const std::string& term) const {
   uint64_t total = 0;
   for (const auto& seg : sealed_) {
-    auto it = seg->stats().find(term);
-    if (it != seg->stats().end()) total += it->second.first;
+    const SegmentTermStats* t = seg->FindTerm(term);
+    if (t != nullptr) total += t->rows;
   }
   if (memtable_ != nullptr) total += memtable_->Frequency(term);
   return static_cast<uint32_t>(total);
@@ -116,7 +114,7 @@ uint32_t SegmentSetVersion::Frequency(const std::string& term) const {
 uint32_t SegmentSetVersion::MaxLength(const std::string& term) const {
   uint32_t deepest = 0;
   for (const auto& seg : sealed_) {
-    if (seg->stats().find(term) == seg->stats().end()) continue;
+    if (seg->FindTerm(term) == nullptr) continue;
     deepest = std::max(deepest, seg->MaxLengthOf(term));
   }
   if (memtable_ != nullptr) {
@@ -135,15 +133,9 @@ const TermStats* SegmentSetVersion::Stats(const std::string& term) const {
 
   TermStats merged;
   for (const auto& seg : sealed_) {
-    // Manifests are sorted by term.
-    const auto& terms = seg->manifest().terms;
-    auto it = std::lower_bound(
-        terms.begin(), terms.end(), term,
-        [](const SegmentTermStats& a, const std::string& t) {
-          return a.term < t;
-        });
-    if (it == terms.end() || it->term != term || it->rows == 0) continue;
-    merged.Merge(*it, kMergedStatsBuckets);
+    const SegmentTermStats* t = seg->FindTerm(term);
+    if (t == nullptr || t->rows == 0) continue;
+    merged.Merge(*t, kMergedStatsBuckets);
   }
   if (memtable_ != nullptr && memtable_->Frequency(term) > 0) {
     const TermStats* mt = memtable_->StatsOf(term);
@@ -220,7 +212,7 @@ Status SegmentSetVersion::CollectPartsLocked(
   size_t fanout = 0;
   for (size_t i = 0; i < sealed_.size(); ++i) {
     const SealedSegment& seg = *sealed_[i];
-    if (seg.stats().find(term) == seg.stats().end()) continue;
+    if (seg.FindTerm(term) == nullptr) continue;
     ++fanout;
     if (seg.is_memory()) {
       const JDeweyList* list = seg.memory()->GetList(term);
@@ -351,7 +343,7 @@ StatusOr<JDeweyIndex> BuildCompactedSegment(
     std::vector<const JDeweyList*> parts;
     for (size_t i = 0; i < inputs.size(); ++i) {
       const SealedSegment& seg = *inputs[i];
-      if (seg.stats().find(term) == seg.stats().end()) continue;
+      if (seg.FindTerm(term) == nullptr) continue;
       if (seg.is_memory()) {
         const JDeweyList* list = seg.memory()->GetList(term);
         if (list != nullptr) parts.push_back(list);

@@ -55,11 +55,9 @@ class SealedSegment {
   const SegmentManifest& manifest() const {
     return env_ != nullptr ? *env_->manifest() : manifest_;
   }
-  /// term -> (rows, max_tf), the lookup form of the manifest.
-  const std::unordered_map<std::string, std::pair<uint32_t, uint32_t>>&
-  stats() const {
-    return stats_;
-  }
+  /// The manifest's record of `term` (binary search: manifests are sorted
+  /// by term), or nullptr when the segment does not hold it.
+  const SegmentTermStats* FindTerm(const std::string& term) const;
   uint64_t id() const { return id_; }
   const std::string& path() const { return path_; }
   /// On-disk size of the segment file (0 for memory segments) — the
@@ -88,7 +86,6 @@ class SealedSegment {
   std::unique_ptr<const JDeweyIndex> memory_;
   std::shared_ptr<DiskIndexEnv> env_;
   SegmentManifest manifest_;  ///< memory segments only
-  std::unordered_map<std::string, std::pair<uint32_t, uint32_t>> stats_;
   uint64_t id_ = 0;
   std::string path_;
   uint64_t data_bytes_ = 0;

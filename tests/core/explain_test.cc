@@ -118,13 +118,13 @@ TEST(ExplainTest, TopKQueryHasColumnSpans) {
   EXPECT_EQ(FindSpan(explained.trace, "join_search"), nullptr);
 
   // Every processed column shows up as a column_L<level> span with a mode
-  // label (the §V-D star-join / complete-sweep decision).
+  // label: a star join, or a skip on disjoint value ranges.
   size_t columns = 0;
   for (const auto& span : explained.trace.spans()) {
     if (span.name.rfind("column_L", 0) == 0) {
       ++columns;
       std::string mode = LabelOr(span, "mode", "");
-      EXPECT_TRUE(mode == "star_join" || mode == "complete_join") << mode;
+      EXPECT_TRUE(mode == "star_join" || mode == "value_skip") << mode;
     }
   }
   EXPECT_GT(columns, 0u);

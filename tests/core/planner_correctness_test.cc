@@ -15,7 +15,6 @@
 
 #include "core/join_search.h"
 #include "core/plan_cache.h"
-#include "core/topk_search.h"
 #include "core/updatable_engine.h"
 #include "index/disk_index.h"
 #include "index/index_builder.h"
@@ -138,22 +137,6 @@ TEST_P(PlannerCorrectnessTest, PlannedEqualsHeuristicOnEveryBackend) {
     // Segmented backend.
     ExpectBitIdentical(run(&segmented, true), run(&segmented, false),
                        label + " segmented");
-
-    // Top-K with forced complete-join sweeps: planned and heuristic sweep
-    // orders must emit the same ranked prefix.
-    {
-      auto run_topk = [&](bool planned) {
-        TopKSearchOptions options;
-        options.semantics = query.semantics;
-        options.k = query.k;
-        options.hybrid_min_matches = 1e9;  // always sweep
-        options.fallback_to_complete = false;  // the sweeps, not the fallback
-        options.use_planner = planned;
-        TopKSearch search(&segmented, options);
-        return search.Search(query.keywords);
-      };
-      ExpectBitIdentical(run_topk(true), run_topk(false), label + " topk");
-    }
   }
   for (const std::string& path : cleanup) std::remove(path.c_str());
 }

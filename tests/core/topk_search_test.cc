@@ -101,39 +101,79 @@ TEST_P(TopKEquivalenceTest, MatchesCompleteSearchTopK) {
 
   for (Semantics semantics : {Semantics::kElca, Semantics::kSlca}) {
     for (bool grouped : {true, false}) {
-      // hybrid 0: pure star join; 1e9: every column swept completely;
-      // 20: genuinely mixed on these corpora. fallback off runs the star
-      // join unbounded; on, the budgeted default strategy.
-      for (double hybrid : {0.0, 20.0, 1e9}) {
-        for (bool fallback : {false, true}) {
-          TopKSearchOptions options;
-          options.semantics = semantics;
-          options.k = c.top_k;
-          options.group_threshold = grouped;
-          options.hybrid_min_matches = hybrid;
-          options.fallback_to_complete = fallback;
-          TopKSearch search(topk_index, options);
-          auto got = search.Search(terms);
-          auto want = CompleteTopK(jindex, terms, semantics, c.top_k);
-          ASSERT_EQ(got.size(), want.size())
-              << "seed " << c.seed << " grouped " << grouped << " hybrid "
-              << hybrid << " fallback " << fallback;
-          for (size_t i = 0; i < got.size(); ++i) {
-            // Score ties can permute nodes; scores must agree positionally.
-            ASSERT_NEAR(got[i].score, want[i].score, 1e-6)
-                << "seed " << c.seed << " pos " << i << " grouped "
-                << grouped << " hybrid " << hybrid << " fallback "
-                << fallback;
-          }
-          // Emission order is score-descending.
-          for (size_t i = 1; i < got.size(); ++i) {
-            ASSERT_GE(got[i - 1].score, got[i].score - 1e-9);
-          }
-          if (hybrid >= 1e9) {
-            ASSERT_EQ(search.stats().columns_star_join, 0u);
-          }
-          if (!fallback) ASSERT_FALSE(search.stats().fell_back);
+      // fallback off runs the star join unbounded; on, the budgeted
+      // default strategy.
+      for (bool fallback : {false, true}) {
+        TopKSearchOptions options;
+        options.semantics = semantics;
+        options.k = c.top_k;
+        options.group_threshold = grouped;
+        options.fallback_to_complete = fallback;
+        TopKSearch search(topk_index, options);
+        auto got = search.Search(terms);
+        auto want = CompleteTopK(jindex, terms, semantics, c.top_k);
+        ASSERT_EQ(got.size(), want.size())
+            << "seed " << c.seed << " grouped " << grouped << " fallback "
+            << fallback;
+        for (size_t i = 0; i < got.size(); ++i) {
+          // Score ties can permute nodes; scores must agree positionally.
+          ASSERT_NEAR(got[i].score, want[i].score, 1e-6)
+              << "seed " << c.seed << " pos " << i << " grouped " << grouped
+              << " fallback " << fallback;
         }
+        // Emission order is score-descending.
+        for (size_t i = 1; i < got.size(); ++i) {
+          ASSERT_GE(got[i - 1].score, got[i].score - 1e-9);
+        }
+        if (!fallback) {
+          ASSERT_FALSE(search.stats().fell_back);
+        }
+      }
+    }
+  }
+}
+
+// The TopKIndex constructor is an adapter over a MemoryTermSource of the
+// index's base: apart from where the score order comes from (prebuilt
+// against derived per query) the two runs must be indistinguishable.
+TEST_P(TopKEquivalenceTest, PrebuiltIndexMatchesMemorySource) {
+  const TopKCase& c = GetParam();
+  std::vector<std::string> all_terms = {"alpha", "beta", "gamma", "delta"};
+  std::vector<std::string> terms(all_terms.begin(),
+                                 all_terms.begin() + c.query_k);
+  XmlTree tree =
+      MakeRandomTree(c.seed, c.nodes, 4, c.max_depth, terms, c.term_prob);
+  IndexBuildOptions build_options;
+  build_options.index_tag_names = false;
+  IndexBuilder builder(tree, build_options);
+  JDeweyIndex jindex = builder.BuildJDeweyIndex();
+  TopKIndex topk_index = builder.BuildTopKIndex(jindex);
+  MemoryTermSource memory(jindex);
+
+  for (Semantics semantics : {Semantics::kElca, Semantics::kSlca}) {
+    for (bool grouped : {true, false}) {
+      for (bool fallback : {false, true}) {
+        TopKSearchOptions options;
+        options.semantics = semantics;
+        options.k = c.top_k;
+        options.group_threshold = grouped;
+        options.fallback_to_complete = fallback;
+        TopKSearch prebuilt(topk_index, options);
+        TopKSearch derived(&memory, options);
+        auto want = derived.Search(terms);
+        auto got = prebuilt.Search(terms);
+        std::string label = "seed " + std::to_string(c.seed) + " grouped " +
+                            std::to_string(grouped) + " fallback " +
+                            std::to_string(fallback);
+        ASSERT_EQ(got.size(), want.size()) << label;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].node, want[i].node) << label << " pos " << i;
+          EXPECT_EQ(got[i].level, want[i].level) << label << " pos " << i;
+          EXPECT_EQ(got[i].score, want[i].score) << label << " pos " << i;
+        }
+        EXPECT_TRUE(prebuilt.stats() == derived.stats()) << label;
+        EXPECT_TRUE(prebuilt.status().ok()) << label;
+        EXPECT_TRUE(derived.status().ok()) << label;
       }
     }
   }
@@ -158,38 +198,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.query_k) + "top" +
              std::to_string(info.param.top_k);
     });
-
-TEST(TopKSearchTest, PerLevelHybridMixesModes) {
-  // A corpus with heavy root/level-2 overlap but sparse deep overlap: the
-  // per-level estimator should sweep some columns and star-join others.
-  XmlTree tree = MakeRandomTree(55, 1200, 5, 7, {"alpha", "beta"}, 0.1);
-  IndexBuildOptions build_options;
-  build_options.index_tag_names = false;
-  IndexBuilder builder(tree, build_options);
-  JDeweyIndex jindex = builder.BuildJDeweyIndex();
-  TopKIndex topk_index = builder.BuildTopKIndex(jindex);
-
-  TopKSearchOptions options;
-  options.k = 1000000;  // force processing every level
-  options.hybrid_min_matches = 4.0;
-  options.fallback_to_complete = false;
-  TopKSearch search(topk_index, options);
-  auto results = search.Search({"alpha", "beta"});
-  const TopKSearchStats& stats = search.stats();
-  EXPECT_EQ(stats.columns_star_join + stats.columns_complete_join,
-            stats.columns_processed);
-  EXPECT_GT(stats.columns_complete_join, 0u);
-  // Results equal the pure star-join run.
-  TopKSearchOptions pure;
-  pure.k = 1000000;
-  pure.fallback_to_complete = false;
-  TopKSearch pure_search(topk_index, pure);
-  auto want = pure_search.Search({"alpha", "beta"});
-  ASSERT_EQ(results.size(), want.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_NEAR(results[i].score, want[i].score, 1e-9) << i;
-  }
-}
 
 TEST(TopKSearchTest, EarlyTerminationReadsLessOnLargeResultSets) {
   // A corpus where the keywords co-occur often: the top-K search should

@@ -236,6 +236,16 @@ TEST(TopKStarJoinTest, DuplicateIdWithinInputKeepsFirst) {
   auto results = join.Run();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_NEAR(results[0].score, 1.4, 1e-12);
+
+  // Every input repeats id 1 after it completed: the repeats must not
+  // start a second partial and complete id 1 again.
+  VectorRankedSource t1({{1, 0.9}, {1, 0.5}});
+  VectorRankedSource t2({{1, 0.8}, {1, 0.4}});
+  TopKStarJoin repeated({&t1, &t2}, StarJoinOptions{5, true});
+  auto once = repeated.Run();
+  ASSERT_EQ(once.size(), 1u);
+  EXPECT_EQ(once[0].id, 1u);
+  EXPECT_NEAR(once[0].score, 1.7, 1e-12);
 }
 
 }  // namespace

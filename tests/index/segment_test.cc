@@ -11,6 +11,7 @@
 #include "core/join_search.h"
 #include "index/index_builder.h"
 #include "index/segment_builder.h"
+#include "index/segment_view.h"
 #include "obs/metrics.h"
 #include "storage/segment_manifest.h"
 #include "xml/jdewey_builder.h"
@@ -225,6 +226,34 @@ TEST(SegmentManifestTest, RoundTripAndCorruptionDetection) {
   EXPECT_FALSE(damaged.ok());
   EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
+}
+
+TEST(SegmentManifestTest, TermsAreSortedAndFoundByTerm) {
+  // SealedSegment::FindTerm binary-searches the manifest, so every
+  // manifest ManifestFromSegment derives must be strictly sorted by term
+  // (the segment's own term order is insertion order).
+  XmlTree tree = ParseXmlStringOrDie(kXml);
+  IndexBuildOptions options;
+  JDeweyEncoding enc = JDeweyBuilder::Assign(tree, options.jdewey_gap);
+  for (const auto& group : Partition(tree, 2)) {
+    JDeweyIndex segment = BuildSegmentIndex(tree, enc, group, options);
+    SegmentManifest manifest = ManifestFromSegment(segment);
+    ASSERT_EQ(manifest.terms.size(), segment.term_count());
+    for (size_t i = 1; i < manifest.terms.size(); ++i) {
+      EXPECT_LT(manifest.terms[i - 1].term, manifest.terms[i].term) << i;
+    }
+
+    std::vector<std::string> terms = segment.terms();
+    auto sealed = SealedSegment::FromMemory(std::move(segment), group.size());
+    for (const std::string& term : terms) {
+      const SegmentTermStats* found = sealed->FindTerm(term);
+      ASSERT_NE(found, nullptr) << term;
+      EXPECT_EQ(found->term, term);
+      EXPECT_EQ(found->rows, sealed->memory()->Frequency(term)) << term;
+    }
+    EXPECT_EQ(sealed->FindTerm("no-such-term"), nullptr);
+    EXPECT_EQ(sealed->FindTerm(""), nullptr);
+  }
 }
 
 }  // namespace
