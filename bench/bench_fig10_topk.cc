@@ -19,11 +19,16 @@
 // choice is how the library realises §V-D (star join only where it pays).
 //
 // Every cell is the mean over the row's queries of each query's fastest of
-// three timings. One `BENCH {"bench":"fig10_topk",...}` line per row
-// carries the three join columns for the CI perf-smoke gate.
+// three timings. The three rounds are interleaved: each round times all
+// four columns of a query, in an order that rotates per round, so a
+// column's cell does not depend on which column happened to run before
+// it. One `BENCH {"bench":"fig10_topk",...}` line per row carries the
+// three join columns for the CI perf-smoke gate.
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,53 +50,55 @@ struct Measure {
   double rdil_ms = 0;
 };
 
-/// Fastest of kRepeats warm timings of `fn`.
-template <typename Fn>
-double MinOfRepeatsMs(Fn&& fn) {
-  double best = xtopk::bench::TimeOnceMs(fn);
-  for (int r = 1; r < kRepeats; ++r) {
-    best = std::min(best, xtopk::bench::TimeOnceMs(fn));
-  }
-  return best;
-}
-
-double TopKMs(const xtopk::TopKIndex& topk_index,
-              const std::vector<std::string>& query,
-              xtopk::TopKSearchOptions options) {
-  options.k = kTopK;
-  return MinOfRepeatsMs([&] {
-    xtopk::TopKSearch search(topk_index, options);
-    search.Search(query);
-  });
-}
-
 Measure RunQueries(const xtopk::XmlTree& tree,
                    const xtopk::JDeweyIndex& jindex,
                    const xtopk::TopKIndex& topk_index,
                    const xtopk::RdilIndex& rdil_index,
                    const std::vector<std::vector<std::string>>& queries) {
-  Measure m;
   xtopk::TopKSearchOptions star;  // the paper's star join, unbounded
+  star.k = kTopK;
   star.fallback_to_complete = false;
+  xtopk::TopKSearchOptions budgeted;  // the library default
+  budgeted.k = kTopK;
+  Measure m;
+  constexpr int kColumns = 4;
+  double* sums[kColumns] = {&m.topk_ms, &m.auto_ms, &m.complete_ms,
+                            &m.rdil_ms};
   for (const auto& query : queries) {
-    m.topk_ms += TopKMs(topk_index, query, star);
-    m.auto_ms += TopKMs(topk_index, query, xtopk::TopKSearchOptions{});
-    m.complete_ms += MinOfRepeatsMs([&] {
-      xtopk::JoinSearch search(jindex);
-      auto results = search.Search(query);
-      xtopk::SortByScoreDesc(&results);
-      if (results.size() > kTopK) results.resize(kTopK);
-    });
-    m.rdil_ms += MinOfRepeatsMs([&] {
-      xtopk::RdilOptions options;
-      options.k = kTopK;
-      xtopk::RdilSearch search(tree, rdil_index, options);
-      search.Search(query);
-    });
+    const std::function<void()> columns[kColumns] = {
+        [&] {
+          xtopk::TopKSearch search(topk_index, star);
+          search.Search(query);
+        },
+        [&] {
+          xtopk::TopKSearch search(topk_index, budgeted);
+          search.Search(query);
+        },
+        [&] {
+          xtopk::JoinSearch search(jindex);
+          auto results = search.Search(query);
+          xtopk::SortByScoreDesc(&results);
+          if (results.size() > kTopK) results.resize(kTopK);
+        },
+        [&] {
+          xtopk::RdilOptions options;
+          options.k = kTopK;
+          xtopk::RdilSearch search(tree, rdil_index, options);
+          search.Search(query);
+        }};
+    // Each round times every column once; the order rotates per round, so
+    // no column always runs right after the same neighbour.
+    double best[kColumns];
+    std::fill(best, best + kColumns, std::numeric_limits<double>::infinity());
+    for (int round = 0; round < kRepeats; ++round) {
+      for (int i = 0; i < kColumns; ++i) {
+        const int c = (round + i) % kColumns;
+        best[c] = std::min(best[c], xtopk::bench::TimeOnceMs(columns[c]));
+      }
+    }
+    for (int c = 0; c < kColumns; ++c) *sums[c] += best[c];
   }
-  for (double* ms : {&m.topk_ms, &m.auto_ms, &m.complete_ms, &m.rdil_ms}) {
-    *ms /= queries.size();
-  }
+  for (double* ms : sums) *ms /= queries.size();
   return m;
 }
 

@@ -14,11 +14,6 @@ namespace xtopk {
 
 namespace {
 
-const char* PlannerModeName(bool planned, bool cache_hit) {
-  if (!planned) return "heuristic";
-  return cache_hit ? "planned_cached" : "planned";
-}
-
 /// Builds and records a slow-log capture. Called only after the cheap
 /// ShouldCapture check passed.
 void CaptureSlowQuery(const BatchQuery& query,
@@ -63,26 +58,11 @@ Engine::Engine(const XmlTree& tree, EngineOptions options)
   topk_index_ = builder_->BuildTopKIndex(jdewey_index_);
 }
 
-std::vector<QueryHit> Engine::Materialize(
-    const std::vector<SearchResult>& results) const {
-  std::vector<QueryHit> hits;
-  hits.reserve(results.size());
-  for (const SearchResult& r : results) {
-    QueryHit hit;
-    hit.node = r.node;
-    hit.level = r.level;
-    hit.score = r.score;
-    hit.tag = tree_.TagName(r.node);
-    hit.snippet = tree_.text(r.node);
-    hits.push_back(std::move(hit));
-  }
-  return hits;
-}
-
-std::vector<std::string> Engine::Normalize(
-    const std::vector<std::string>& keywords) const {
+std::vector<std::string> NormalizeKeywords(
+    const Tokenizer::Options& tokenizer_options,
+    const std::vector<std::string>& keywords) {
   // Same analyzer as indexing; multi-token inputs expand, duplicates drop.
-  Tokenizer tokenizer(options_.index.tokenizer);
+  Tokenizer tokenizer(tokenizer_options);
   std::vector<std::string> normalized;
   std::unordered_set<std::string> seen;
   for (const std::string& keyword : keywords) {
@@ -93,8 +73,15 @@ std::vector<std::string> Engine::Normalize(
   return normalized;
 }
 
-BatchQueryResult Engine::RunQuery(const BatchQuery& query,
-                                  obs::QueryTrace* trace) const {
+std::vector<std::string> Engine::Normalize(
+    const std::vector<std::string>& keywords) const {
+  return NormalizeKeywords(options_.index.tokenizer, keywords);
+}
+
+BatchQueryResult RunQuery(const XmlTree& tree, const EngineOptions& options,
+                          TermSource* source, const TopKIndex* prebuilt,
+                          PlanCache* plan_cache, const BatchQuery& query,
+                          obs::QueryTrace* trace) {
   Timer timer;
   const double cpu_start = obs::ThreadCpuMicros();
   BatchQueryResult out;
@@ -111,7 +98,7 @@ BatchQueryResult Engine::RunQuery(const BatchQuery& query,
   std::vector<std::string> normalized;
   {
     obs::ScopedSpan span(trace, "tokenize");
-    normalized = Normalize(query.keywords);
+    normalized = NormalizeKeywords(options.index.tokenizer, query.keywords);
     span.Stat("keywords_in", static_cast<double>(query.keywords.size()));
     span.Stat("keywords_out", static_cast<double>(normalized.size()));
   }
@@ -120,46 +107,54 @@ BatchQueryResult Engine::RunQuery(const BatchQuery& query,
     // span only surfaces the per-term frequencies in the EXPLAIN output.
     obs::ScopedSpan span(trace, "term_lookup");
     for (const std::string& term : normalized) {
-      uint32_t freq = jdewey_index_.Frequency(term);
+      uint32_t freq = source->Frequency(term);
       span.Stat("terms", 1.0);
       span.Label(term, std::to_string(freq));
     }
   }
 
+  std::vector<SearchResult> found;
+  bool planned = false;
+  bool plan_cache_hit = false;
   if (query.k == 0) {
     JoinSearchOptions join_options;
     join_options.semantics = query.semantics;
     join_options.compute_scores = true;
-    join_options.scoring = options_.scoring;
-    join_options.plan_cache = &plan_cache_;
+    join_options.scoring = options.scoring;
+    join_options.plan_cache = plan_cache;
     join_options.deadline = query.deadline;
     join_options.trace = trace;
-    JoinSearch search(jdewey_index_, join_options);
-    std::vector<SearchResult> found = search.Search(normalized);
-    obs::ScopedSpan span(trace, "materialize");
+    JoinSearch search(source, join_options);
+    found = search.Search(normalized);
     SortByScoreDesc(&found);
-    out.hits = Materialize(found);
     out.status = search.status();
-    span.Stat("hits", static_cast<double>(out.hits.size()));
     out.join_stats = search.stats();
-    out.accounting.planner_mode = PlannerModeName(
-        search.stats().planned, search.stats().plan_cache_hit);
+    planned = search.stats().planned;
+    plan_cache_hit = search.stats().plan_cache_hit;
   } else {
     TopKSearchOptions topk_options;
     topk_options.semantics = query.semantics;
     topk_options.k = query.k;
-    topk_options.scoring = options_.scoring;
-    topk_options.plan_cache = &plan_cache_;
+    topk_options.scoring = options.scoring;
+    topk_options.plan_cache = plan_cache;
     topk_options.deadline = query.deadline;
     topk_options.trace = trace;
-    TopKSearch search(topk_index_, topk_options);
-    std::vector<SearchResult> found = search.Search(normalized);
-    obs::ScopedSpan span(trace, "materialize");
-    out.hits = Materialize(found);
+    TopKSearch search(source, topk_options, prebuilt);
+    found = search.Search(normalized);
     out.status = search.status();
+    planned = search.stats().planned;
+    plan_cache_hit = search.stats().plan_cache_hit;
+  }
+  out.accounting.planner_mode =
+      !planned ? "heuristic" : plan_cache_hit ? "planned_cached" : "planned";
+  {
+    obs::ScopedSpan span(trace, "materialize");
+    out.hits.reserve(found.size());
+    for (const SearchResult& r : found) {
+      out.hits.push_back(QueryHit{r.node, r.level, r.score,
+                                  tree.TagName(r.node), tree.text(r.node)});
+    }
     span.Stat("hits", static_cast<double>(out.hits.size()));
-    out.accounting.planner_mode = PlannerModeName(
-        search.stats().planned, search.stats().plan_cache_hit);
   }
   root.Stat("hits", static_cast<double>(out.hits.size()));
   // Only run-invariant resource stats may go on the span: batch traces are
@@ -193,13 +188,18 @@ BatchQueryResult Engine::RunQuery(const BatchQuery& query,
   return out;
 }
 
+BatchQueryResult Engine::Run(const BatchQuery& query,
+                             obs::QueryTrace* trace) const {
+  MemoryTermSource source(jdewey_index_);
+  return RunQuery(tree_, options_, &source, &topk_index_, &plan_cache_, query,
+                  trace);
+}
+
 std::vector<QueryHit> Engine::Search(const std::vector<std::string>& keywords,
                                      Semantics semantics) const {
-  BatchQuery query;
-  query.keywords = keywords;
-  query.k = 0;
-  query.semantics = semantics;
-  return RunQuery(query, nullptr).hits;
+  return Run({.keywords = keywords, .k = 0, .semantics = semantics,
+              .deadline = {}})
+      .hits;
 }
 
 std::string HighlightKeywords(const std::string& text,
@@ -249,11 +249,9 @@ std::string HighlightKeywords(const std::string& text,
 std::vector<QueryHit> Engine::SearchTopK(
     const std::vector<std::string>& keywords, size_t k,
     Semantics semantics) const {
-  BatchQuery query;
-  query.keywords = keywords;
-  query.k = k;
-  query.semantics = semantics;
-  return RunQuery(query, nullptr).hits;
+  return Run({.keywords = keywords, .k = k, .semantics = semantics,
+              .deadline = {}})
+      .hits;
 }
 
 std::vector<BatchQueryResult> Engine::RunBatch(
@@ -265,7 +263,7 @@ std::vector<BatchQueryResult> Engine::RunBatch(
   ParallelFor(queries.size(), threads, [&](size_t i) {
     std::unique_ptr<obs::QueryTrace> trace;
     if (collect_traces) trace = std::make_unique<obs::QueryTrace>();
-    results[i] = RunQuery(queries[i], trace.get());
+    results[i] = Run(queries[i], trace.get());
     results[i].trace = std::move(trace);
   });
   return results;
@@ -273,7 +271,7 @@ std::vector<BatchQueryResult> Engine::RunBatch(
 
 ExplainResult Engine::Explain(const BatchQuery& query) const {
   ExplainResult explained;
-  BatchQueryResult result = RunQuery(query, &explained.trace);
+  BatchQueryResult result = Run(query, &explained.trace);
   explained.hits = std::move(result.hits);
   explained.join_stats = result.join_stats;
   explained.accounting = std::move(result.accounting);
@@ -282,11 +280,8 @@ ExplainResult Engine::Explain(const BatchQuery& query) const {
 
 ExplainResult Engine::Explain(const std::vector<std::string>& keywords,
                               size_t k, Semantics semantics) const {
-  BatchQuery query;
-  query.keywords = keywords;
-  query.k = k;
-  query.semantics = semantics;
-  return Explain(query);
+  return Explain(
+      {.keywords = keywords, .k = k, .semantics = semantics, .deadline = {}});
 }
 
 uint32_t Engine::Frequency(const std::string& keyword) const {

@@ -15,6 +15,7 @@
 #include "obs/trace.h"
 #include "util/deadline.h"
 #include "util/status.h"
+#include "xml/tokenizer.h"
 #include "xml/xml_tree.h"
 
 namespace xtopk {
@@ -35,7 +36,8 @@ struct QueryHit {
   std::string snippet;  ///< Direct text of the answer root (may be empty).
 };
 
-/// One query of a concurrent batch (Engine::RunBatch).
+/// One query: what Engine::Run, UpdatableEngine::Run and every entry point
+/// built on them (Search, SearchTopK, RunBatch, Explain) execute.
 struct BatchQuery {
   std::vector<std::string> keywords;
   /// 0 = complete result set (join-based Algorithm 1); > 0 = top-k.
@@ -83,6 +85,27 @@ struct ExplainResult {
 /// instead of shipping full result sets around.
 std::string ResultFingerprint(const std::vector<QueryHit>& hits);
 
+/// The analyzer both engines apply to raw query keywords: the index's
+/// tokenizer, multi-token inputs expand, duplicates drop, order is
+/// first-occurrence.
+std::vector<std::string> NormalizeKeywords(
+    const Tokenizer::Options& tokenizer,
+    const std::vector<std::string>& keywords);
+
+/// The one query path of both engines. Normalizes the keywords, runs
+/// JoinSearch (k == 0) or TopKSearch over `source`, materializes the hits
+/// against `tree`, and does the per-query bookkeeping: the tokenize /
+/// term_lookup / materialize spans, the ResourceAccounting bill, the
+/// engine.* metrics and the slow-log capture. `prebuilt`, when set,
+/// supplies the top-K score order; its lists must be the ones `source`
+/// resolves (Engine passes its TopKIndex, the segmented engine null).
+/// `trace` may be null (zero tracing cost); the result's `trace` member
+/// is left empty — callers own the trace.
+BatchQueryResult RunQuery(const XmlTree& tree, const EngineOptions& options,
+                          TermSource* source, const TopKIndex* prebuilt,
+                          PlanCache* plan_cache, const BatchQuery& query,
+                          obs::QueryTrace* trace = nullptr);
+
 /// Marks every occurrence of `keywords` (tokenizer-normalized, whole-token
 /// matches, case-insensitive) in `text` with `open`/`close`, e.g.
 /// "xml [data] management" for keyword "data". Presentation helper for
@@ -121,6 +144,12 @@ class Engine {
                                    size_t k,
                                    Semantics semantics = Semantics::kElca) const;
 
+  /// Runs one query with its deadline, status and accounting (RunQuery
+  /// over the engine's indexes). Search, SearchTopK, RunBatch and Explain
+  /// all run through here.
+  BatchQueryResult Run(const BatchQuery& query,
+                       obs::QueryTrace* trace = nullptr) const;
+
   /// Executes independent queries concurrently against the shared
   /// read-only indexes on a fixed pool of up to `threads` workers
   /// (util/parallel.h work stealing). The indexes are immutable after
@@ -146,7 +175,7 @@ class Engine {
   /// The index's analyzer applied to raw query keywords: multi-token
   /// inputs expand, duplicates drop, order is first-occurrence. Exposed so
   /// callers that key caches on queries (serve::ResultCache) normalize
-  /// exactly the way RunQuery will.
+  /// exactly the way Run will.
   std::vector<std::string> Normalize(
       const std::vector<std::string>& keywords) const;
 
@@ -158,21 +187,13 @@ class Engine {
   PlanCache& plan_cache() const { return plan_cache_; }
 
  private:
-  /// The single execution path behind Search, SearchTopK, RunBatch and
-  /// Explain. `trace` may be null (zero tracing cost); the returned
-  /// result's `trace` member is left empty — callers own the trace.
-  BatchQueryResult RunQuery(const BatchQuery& query,
-                            obs::QueryTrace* trace) const;
-  std::vector<QueryHit> Materialize(
-      const std::vector<SearchResult>& results) const;
-
   const XmlTree& tree_;
   EngineOptions options_;
   std::unique_ptr<IndexBuilder> builder_;
   JDeweyIndex jdewey_index_;
   TopKIndex topk_index_;
   /// Shared join-plan cache (the indexes are immutable, so entries never
-  /// go stale). mutable: RunQuery is const and may plan from RunBatch's
+  /// go stale). mutable: Run is const and may plan from RunBatch's
   /// worker threads — PlanCache is internally synchronized.
   mutable PlanCache plan_cache_;
 };

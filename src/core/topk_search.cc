@@ -183,8 +183,9 @@ TopKSearch::TopKSearch(const TopKIndex& index, TopKSearchOptions options)
       prebuilt_(&index),
       options_(options) {}
 
-TopKSearch::TopKSearch(TermSource* source, TopKSearchOptions options)
-    : source_(source), options_(options) {}
+TopKSearch::TopKSearch(TermSource* source, TopKSearchOptions options,
+                       const TopKIndex* prebuilt)
+    : source_(source), prebuilt_(prebuilt), options_(options) {}
 
 std::vector<SearchResult> TopKSearch::Search(
     const std::vector<std::string>& keywords) {

@@ -110,9 +110,11 @@ class TopKSearch {
 
   /// Over any posting source: the queried terms' lists are materialized in
   /// full and their score-ordered segments derived per query (what the disk
-  /// and segmented paths do anyway — only the touched terms pay). `source`
-  /// must outlive the TopKSearch.
-  explicit TopKSearch(TermSource* source, TopKSearchOptions options = {});
+  /// and segmented paths do anyway — only the touched terms pay), unless
+  /// `prebuilt` supplies them; its lists must be the ones `source` resolves.
+  /// `source` and `prebuilt` must outlive the TopKSearch.
+  explicit TopKSearch(TermSource* source, TopKSearchOptions options = {},
+                      const TopKIndex* prebuilt = nullptr);
 
   TopKSearch(const TopKSearch&) = delete;
   TopKSearch& operator=(const TopKSearch&) = delete;
@@ -144,8 +146,8 @@ class TopKSearch {
   /// Backs source_ for the TopKIndex constructor.
   std::optional<MemoryTermSource> memory_;
   TermSource* source_ = nullptr;
-  /// Prebuilt score order (TopKIndex constructor); null derives it per
-  /// query into query_lists_.
+  /// Prebuilt score order (either constructor may set it); null derives
+  /// it per query into query_lists_.
   const TopKIndex* prebuilt_ = nullptr;
   TopKSearchOptions options_;
   TopKSearchStats stats_;

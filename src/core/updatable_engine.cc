@@ -6,18 +6,14 @@
 #include <cstdio>
 #include <numeric>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
-#include "core/search_result.h"
 #include "index/disk_index.h"
 #include "index/segment_builder.h"
 #include "obs/metrics.h"
-#include "obs/slow_log.h"
 #include "obs/windowed.h"
 #include "util/timer.h"
 #include "xml/jdewey_builder.h"
-#include "xml/tokenizer.h"
 
 namespace xtopk {
 
@@ -47,8 +43,7 @@ UpdatableEngine::UpdatableEngine(XmlTree initial, EngineOptions options)
     // not worth sealing: it carries no indexable rows, and the first
     // insert under a childless root re-encodes the root itself — which
     // would read as a stale base and force a pointless full rebuild.
-    Status s = Seal("");
-    (void)s;  // in-memory seal cannot fail
+    SealInMemory();
   }
 }
 
@@ -219,21 +214,12 @@ NodeId UpdatableEngine::AddDocument(const std::string& name,
 
 void UpdatableEngine::FullRebuild() {
   segments_.Clear();
-  std::vector<NodeId> nodes(tree_.node_count());
-  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+  watermark_ = 0;
   // The MAINTAINED encoding stays authoritative — the rebuilt base segment
   // uses the same numbers, so the memtable keeps extending it without a
   // re-assignment.
-  segments_.AddMemorySegment(
-      BuildSegmentIndex(tree_, encoding_, nodes, options_.index),
-      nodes.size());
-  watermark_ = static_cast<NodeId>(tree_.node_count());
-  memtable_.reset();
-  segments_.SetMemtable(std::shared_ptr<const JDeweyIndex>());
-  memtable_dirty_ = false;
+  SealInMemory();
   needs_full_rebuild_ = false;
-  memtable_docs_ = 0;
-  XTOPK_GAUGE("index.memtable_docs").Set(0);
   ++rebuilds_;
   XTOPK_COUNTER("engine.rebuilds").Add(1);
 }
@@ -317,13 +303,8 @@ void UpdatableEngine::DurableFullRebuild() {
         EncodingFilePath(durable_options_.data_dir, enc_id_).c_str());
   }
   enc_id_ = id;
-  watermark_ = static_cast<NodeId>(count);
-  memtable_.reset();
-  segments_.SetMemtable(std::shared_ptr<const JDeweyIndex>());
-  memtable_dirty_ = false;
+  SealedUpTo(count);
   needs_full_rebuild_ = false;
-  memtable_docs_ = 0;
-  XTOPK_GAUGE("index.memtable_docs").Set(0);
   ++rebuilds_;
   XTOPK_COUNTER("engine.rebuilds").Add(1);
 }
@@ -363,28 +344,24 @@ void UpdatableEngine::EnsureFresh() {
   segments_.SetCorpusNodes(tree_.node_count());
 }
 
-Status UpdatableEngine::Seal(const std::string& disk_path) {
+void UpdatableEngine::SealInMemory() {
   size_t count = tree_.node_count();
   std::vector<NodeId> nodes;
   nodes.reserve(count - watermark_);
   for (NodeId id = watermark_; id < count; ++id) nodes.push_back(id);
-  JDeweyIndex segment =
-      BuildSegmentIndex(tree_, encoding_, nodes, options_.index);
-  if (disk_path.empty()) {
-    segments_.AddMemorySegment(std::move(segment), nodes.size());
-  } else {
-    Status s = DiskIndexWriter::Write(segment, disk_path, {}, nodes.size());
-    if (!s.ok()) return s;
-    s = segments_.AddDiskSegment(disk_path);
-    if (!s.ok()) return s;
-  }
+  segments_.AddMemorySegment(
+      BuildSegmentIndex(tree_, encoding_, nodes, options_.index),
+      nodes.size());
+  SealedUpTo(count);
+}
+
+void UpdatableEngine::SealedUpTo(size_t count) {
   watermark_ = static_cast<NodeId>(count);
   memtable_.reset();
   segments_.SetMemtable(std::shared_ptr<const JDeweyIndex>());
   memtable_dirty_ = false;
   memtable_docs_ = 0;
   XTOPK_GAUGE("index.memtable_docs").Set(0);
-  return Status::Ok();
 }
 
 Status UpdatableEngine::SealDurableLocked() {
@@ -425,35 +402,14 @@ Status UpdatableEngine::SealDurableLocked() {
         EncodingFilePath(durable_options_.data_dir, enc_id_).c_str());
   }
   enc_id_ = id;
-  watermark_ = static_cast<NodeId>(count);
-  memtable_.reset();
-  segments_.SetMemtable(std::shared_ptr<const JDeweyIndex>());
-  memtable_dirty_ = false;
-  memtable_docs_ = 0;
-  XTOPK_GAUGE("index.memtable_docs").Set(0);
+  SealedUpTo(count);
   return Status::Ok();
-}
-
-Status UpdatableEngine::SealMemtable(const std::string& path) {
-  if (needs_full_rebuild_) {
-    // Sealed data went stale; fold everything into a fresh base first so
-    // the seal captures sound numbers. The memtable is empty afterwards.
-    if (durable()) {
-      DurableFullRebuild();
-    } else {
-      FullRebuild();
-    }
-  }
-  if (watermark_ >= tree_.node_count()) {
-    return Status::InvalidArgument("updatable engine: memtable is empty");
-  }
-  return Seal(path);
 }
 
 Status UpdatableEngine::SealMemtable() {
   if (!durable()) {
     return Status::InvalidArgument(
-        "SealMemtable() needs a durable engine; use SealMemtable(path)");
+        "SealMemtable() needs a durable engine (OpenDurable)");
   }
   if (needs_full_rebuild_) DurableFullRebuild();
   if (watermark_ >= tree_.node_count()) {
@@ -468,15 +424,10 @@ Status UpdatableEngine::SealMemtable() {
   return s;
 }
 
-Status UpdatableEngine::Compact(const std::string& path) {
-  EnsureFresh();
-  return segments_.Compact(path);
-}
-
 Status UpdatableEngine::Compact() {
   if (!durable()) {
     return Status::InvalidArgument(
-        "Compact() needs a durable engine; use Compact(path)");
+        "Compact() needs a durable engine (OpenDurable)");
   }
   EnsureFresh();
   CompactRound(/*merge_all=*/true);
@@ -609,127 +560,35 @@ uint64_t UpdatableEngine::plan_watermark() {
   return segments_.PlanWatermark();
 }
 
-std::vector<QueryHit> UpdatableEngine::Materialize(
-    const std::vector<SearchResult>& results) const {
-  std::vector<QueryHit> hits;
-  hits.reserve(results.size());
-  for (const SearchResult& r : results) {
-    QueryHit hit;
-    hit.node = r.node;
-    hit.level = r.level;
-    hit.score = r.score;
-    hit.tag = tree_.TagName(r.node);
-    hit.snippet = tree_.text(r.node);
-    hits.push_back(std::move(hit));
-  }
-  return hits;
-}
-
 std::vector<std::string> UpdatableEngine::Normalize(
     const std::vector<std::string>& keywords) const {
-  Tokenizer tokenizer(options_.index.tokenizer);
-  std::vector<std::string> normalized;
-  std::unordered_set<std::string> seen;
-  for (const std::string& keyword : keywords) {
-    for (const std::string& token : tokenizer.Tokenize(keyword)) {
-      if (seen.insert(token).second) normalized.push_back(token);
-    }
-  }
-  return normalized;
+  return NormalizeKeywords(options_.index.tokenizer, keywords);
+}
+
+BatchQueryResult UpdatableEngine::Run(const BatchQuery& query) {
+  EnsureFresh();
+  // Pin the current version for the query's whole lifetime: background
+  // compaction publishes cannot mutate the list set under the join.
+  SegmentSetReader reader(segments_.Pin());
+  BatchQueryResult result = RunQuery(tree_, options_, &reader,
+                                     /*prebuilt=*/nullptr, &plan_cache_, query);
+  last_accounting_ = result.accounting;
+  last_status_ = result.status;
+  return result;
 }
 
 std::vector<QueryHit> UpdatableEngine::Search(
-    const std::vector<std::string>& keywords, Semantics semantics,
-    DeadlineToken deadline) {
-  EnsureFresh();
-  Timer timer;
-  const double cpu_start = obs::ThreadCpuMicros();
-  obs::ResourceAccounting accounting;
-  std::vector<std::string> normalized = Normalize(keywords);
-  std::vector<QueryHit> hits;
-  {
-    obs::ScopedAccounting scope(&accounting);
-    // Pin the current version for the query's whole lifetime: background
-    // compaction publishes cannot mutate the list set under the join.
-    SegmentSetReader reader(segments_.Pin());
-    JoinSearchOptions join_options;
-    join_options.semantics = semantics;
-    join_options.compute_scores = true;
-    join_options.scoring = options_.scoring;
-    join_options.plan_cache = &plan_cache_;
-    join_options.deadline = deadline;
-    JoinSearch search(&reader, join_options);
-    std::vector<SearchResult> found = search.Search(normalized);
-    SortByScoreDesc(&found);
-    hits = Materialize(found);
-    last_status_ = search.status();
-    accounting.planner_mode =
-        search.stats().planned
-            ? (search.stats().plan_cache_hit ? "planned_cached" : "planned")
-            : "heuristic";
-  }
-  FinishQuery(normalized, /*k=*/0, semantics, timer.ElapsedMicros(),
-              obs::ThreadCpuMicros() - cpu_start, hits, &accounting);
-  return hits;
+    const std::vector<std::string>& keywords, Semantics semantics) {
+  return Run({.keywords = keywords, .k = 0, .semantics = semantics,
+              .deadline = {}})
+      .hits;
 }
 
 std::vector<QueryHit> UpdatableEngine::SearchTopK(
-    const std::vector<std::string>& keywords, size_t k, Semantics semantics,
-    DeadlineToken deadline) {
-  EnsureFresh();
-  Timer timer;
-  const double cpu_start = obs::ThreadCpuMicros();
-  obs::ResourceAccounting accounting;
-  std::vector<std::string> normalized = Normalize(keywords);
-  std::vector<QueryHit> hits;
-  {
-    obs::ScopedAccounting scope(&accounting);
-    SegmentSetReader reader(segments_.Pin());
-    TopKSearchOptions topk_options;
-    topk_options.semantics = semantics;
-    topk_options.k = k;
-    topk_options.scoring = options_.scoring;
-    topk_options.plan_cache = &plan_cache_;
-    topk_options.deadline = deadline;
-    TopKSearch search(&reader, topk_options);
-    hits = Materialize(search.Search(normalized));
-    last_status_ = search.status();
-    accounting.planner_mode =
-        search.stats().planned
-            ? (search.stats().plan_cache_hit ? "planned_cached" : "planned")
-            : "heuristic";
-  }
-  FinishQuery(normalized, k, semantics, timer.ElapsedMicros(),
-              obs::ThreadCpuMicros() - cpu_start, hits, &accounting);
-  return hits;
-}
-
-void UpdatableEngine::FinishQuery(const std::vector<std::string>& normalized,
-                                  size_t k, Semantics semantics,
-                                  double wall_us, double cpu_us,
-                                  const std::vector<QueryHit>& hits,
-                                  obs::ResourceAccounting* accounting) {
-  accounting->wall_us = wall_us;
-  accounting->cpu_us = cpu_us;
-  last_accounting_ = *accounting;
-  XTOPK_COUNTER("engine.queries").Add(1);
-  XTOPK_HISTOGRAM("engine.query_us").Record(static_cast<uint64_t>(wall_us));
-  XTOPK_WINDOWED_COUNTER("engine.queries").Add(1);
-  XTOPK_WINDOWED_HISTOGRAM("engine.query_us")
-      .Record(static_cast<uint64_t>(wall_us));
-  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Global();
-  if (slow_log.ShouldCapture(wall_us, accounting->pages_read)) {
-    obs::SlowQueryCapture capture;
-    capture.ts_us = obs::MonotonicNowUs();
-    capture.keywords = normalized;
-    capture.k = k;
-    capture.semantics = semantics == Semantics::kElca ? "elca" : "slca";
-    capture.wall_us = wall_us;
-    capture.hits = hits.size();
-    capture.result_fingerprint = ResultFingerprint(hits);
-    capture.accounting = *accounting;
-    obs::SlowQueryLog::Global().Record(capture);
-  }
+    const std::vector<std::string>& keywords, size_t k, Semantics semantics) {
+  return Run({.keywords = keywords, .k = k, .semantics = semantics,
+              .deadline = {}})
+      .hits;
 }
 
 }  // namespace xtopk

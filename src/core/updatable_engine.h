@@ -52,13 +52,14 @@ struct DurableOptions {
 /// and compaction rounds) is internally synchronized against the
 /// background thread.
 ///
-/// DURABLE MODE (OpenDurable): seals write `seg-<id>` files named by a
-/// crash-safe manifest log; reopening the same directory recovers the
-/// sealed set (deleting orphans from torn operations) and resumes the
-/// maintained encoding from the last seal's snapshot. A background
-/// CompactionScheduler runs tiered compaction; every transition is logged
-/// write-ahead, so a crash at any point reopens to either the pre- or the
-/// post-operation set, never a mix.
+/// The plain constructor keeps the base segment and the memtable in
+/// memory; SealMemtable and Compact need DURABLE MODE (OpenDurable): seals
+/// write `seg-<id>` files named by a crash-safe manifest log; reopening
+/// the same directory recovers the sealed set (deleting orphans from torn
+/// operations) and resumes the maintained encoding from the last seal's
+/// snapshot. A background CompactionScheduler runs tiered compaction;
+/// every transition is logged write-ahead, so a crash at any point reopens
+/// to either the pre- or the post-operation set, never a mix.
 class UpdatableEngine {
  public:
   explicit UpdatableEngine(XmlTree initial, EngineOptions options = {});
@@ -93,35 +94,28 @@ class UpdatableEngine {
   /// segment.
   NodeId AddDocument(const std::string& name, const XmlTree& doc);
 
-  /// Queries (refresh the memtable / rebuild first if needed). `deadline`
-  /// bounds the query's time budget (default unbounded); on expiry the
-  /// hits hold the proven partial answer and last_status() reports
-  /// kDeadlineExceeded. The query pins the current segment version for
-  /// its whole lifetime — background publishes cannot change its answer.
+  /// Runs one query through the shared query path (RunQuery), after
+  /// folding pending mutations in (memtable refresh / rebuild). The query
+  /// pins the current segment version for its whole lifetime — background
+  /// publishes cannot change its answer. On deadline expiry the hits hold
+  /// the proven partial answer and the status is kDeadlineExceeded. The
+  /// status and accounting are also kept as last_status() /
+  /// last_accounting().
+  BatchQueryResult Run(const BatchQuery& query);
+
+  /// Run without a deadline, returning only the hits.
   std::vector<QueryHit> Search(const std::vector<std::string>& keywords,
-                               Semantics semantics = Semantics::kElca,
-                               DeadlineToken deadline = {});
+                               Semantics semantics = Semantics::kElca);
   std::vector<QueryHit> SearchTopK(const std::vector<std::string>& keywords,
                                    size_t k,
-                                   Semantics semantics = Semantics::kElca,
-                                   DeadlineToken deadline = {});
-
-  /// Seals the current memtable to `path` as an immutable on-disk segment
-  /// (+ ".manifest") and advances the watermark past it. Queries before
-  /// and after answer identically. Fails on an empty memtable. (The
-  /// caller-names-the-path form; durable engines use the no-arg
-  /// overload.)
-  Status SealMemtable(const std::string& path);
+                                   Semantics semantics = Semantics::kElca);
 
   /// DURABLE: seals the memtable as the next log-managed segment — files
   /// first, then the kSeal record (the commit point), so a crash at any
   /// byte leaves either the old or the new set. Wakes the compactor.
+  /// Queries before and after answer identically. Fails on an empty
+  /// memtable.
   Status SealMemtable();
-
-  /// Merges every sealed segment into one at `path` (SegmentedIndex::
-  /// Compact). The memtable is untouched. Superseded segment files are
-  /// deleted once the last in-flight query stops pinning them.
-  Status Compact(const std::string& path);
 
   /// DURABLE: synchronously merges all log-managed disk segments into one
   /// (the same crash-safe kCompactBegin/kCompactCommit/kDrop protocol the
@@ -162,15 +156,14 @@ class UpdatableEngine {
   /// The join-plan cache (tests assert invalidation-on-seal through it).
   PlanCache& plan_cache() { return plan_cache_; }
 
-  /// Resource bill of the most recent Search/SearchTopK (the Search APIs
-  /// return bare hit vectors, so the accounting rides on the side).
+  /// Resource bill of the most recent query (the Search APIs return bare
+  /// hit vectors, so the accounting rides on the side).
   const obs::ResourceAccounting& last_accounting() const {
     return last_accounting_;
   }
 
-  /// Status of the most recent Search/SearchTopK (kDeadlineExceeded when
-  /// its deadline expired mid-query; rides on the side like
-  /// last_accounting()).
+  /// Status of the most recent query (kDeadlineExceeded when its deadline
+  /// expired mid-query; rides on the side like last_accounting()).
   const Status& last_status() const { return last_status_; }
 
   /// The segmented index's version after folding in any pending mutations
@@ -200,9 +193,12 @@ class UpdatableEngine {
   /// stay correct; the log keeps the old set as the recovery state.
   void DurableFullRebuild();
   void RefreshMemtable();
-  /// Seals nodes [watermark_, node_count) as one segment; `disk_path`
-  /// empty seals in memory.
-  Status Seal(const std::string& disk_path);
+  /// Seals nodes [watermark_, node_count) as one in-memory segment (the
+  /// plain constructor's base, and FullRebuild's from watermark 0).
+  void SealInMemory();
+  /// Nodes below `count` are now sealed: moves the watermark there and
+  /// empties the memtable.
+  void SealedUpTo(size_t count);
   /// DURABLE seal of [watermark_, node_count): segment + manifest +
   /// encoding snapshot files first, then the kSeal record. Caller holds
   /// maintenance_mu_.
@@ -217,15 +213,6 @@ class UpdatableEngine {
   /// Logs a kDrop for the abandoned output id and deletes its files
   /// (failed/raced compaction cleanup).
   void AbandonOutput(uint64_t id, const std::string& path);
-  std::vector<QueryHit> Materialize(
-      const std::vector<SearchResult>& results) const;
-  /// Shared query epilogue: finalize the accounting, fold it into the
-  /// process metrics (cumulative + windowed), and capture to the slow log
-  /// when the thresholds say so.
-  void FinishQuery(const std::vector<std::string>& normalized, size_t k,
-                   Semantics semantics, double wall_us, double cpu_us,
-                   const std::vector<QueryHit>& hits,
-                   obs::ResourceAccounting* accounting);
 
   XmlTree tree_;
   EngineOptions options_;

@@ -12,14 +12,23 @@ namespace serve {
 
 namespace {
 
-ResponseHit ToResponseHit(const QueryHit& hit) {
-  ResponseHit out;
-  out.node = hit.node;
-  out.level = hit.level;
-  out.score = hit.score;
-  out.tag = hit.tag;
-  out.snippet = hit.snippet;
-  return out;
+BatchQuery ToBatchQuery(const QueryRequest& request, DeadlineToken deadline) {
+  return {.keywords = request.keywords,
+          .k = request.k,
+          .semantics = request.semantics,
+          .deadline = deadline};
+}
+
+/// The one BatchQueryResult -> wire conversion of both backends.
+Status ToResponseHits(BatchQueryResult result,
+                      std::vector<ResponseHit>* hits) {
+  hits->clear();
+  hits->reserve(result.hits.size());
+  for (QueryHit& hit : result.hits) {
+    hits->push_back(ResponseHit{hit.node, hit.level, hit.score,
+                                std::move(hit.tag), std::move(hit.snippet)});
+  }
+  return result.status;
 }
 
 /// Per-status response counters carry the status in the metric name, so
@@ -36,20 +45,7 @@ void CountResponse(ResponseStatus status) {
 Status EngineBackend::RunQuery(const QueryRequest& request,
                                DeadlineToken deadline,
                                std::vector<ResponseHit>* hits) {
-  BatchQuery query;
-  query.keywords = request.keywords;
-  query.k = request.k;
-  query.semantics = request.semantics;
-  query.deadline = deadline;
-  // RunBatch is the engine's one deadline-aware public entry; a
-  // single-element batch runs on the caller's thread.
-  std::vector<BatchQueryResult> results = engine_->RunBatch({query}, 1);
-  hits->clear();
-  hits->reserve(results[0].hits.size());
-  for (const QueryHit& hit : results[0].hits) {
-    hits->push_back(ToResponseHit(hit));
-  }
-  return results[0].status;
+  return ToResponseHits(engine_->Run(ToBatchQuery(request, deadline)), hits);
 }
 
 std::vector<std::string> EngineBackend::Normalize(
@@ -60,16 +56,12 @@ std::vector<std::string> EngineBackend::Normalize(
 Status UpdatableBackend::RunQuery(const QueryRequest& request,
                                   DeadlineToken deadline,
                                   std::vector<ResponseHit>* hits) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<QueryHit> found =
-      request.k == 0
-          ? engine_->Search(request.keywords, request.semantics, deadline)
-          : engine_->SearchTopK(request.keywords, request.k,
-                                request.semantics, deadline);
-  hits->clear();
-  hits->reserve(found.size());
-  for (const QueryHit& hit : found) hits->push_back(ToResponseHit(hit));
-  return engine_->last_status();
+  BatchQueryResult result;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    result = engine_->Run(ToBatchQuery(request, deadline));
+  }
+  return ToResponseHits(std::move(result), hits);
 }
 
 std::vector<std::string> UpdatableBackend::Normalize(

@@ -22,6 +22,7 @@
 #include "index/segment_builder.h"
 #include "storage/segment_manifest.h"
 #include "testing/corpus.h"
+#include "testing/durable.h"
 #include "xml/jdewey_builder.h"
 
 namespace xtopk {
@@ -201,7 +202,11 @@ TEST(PlanCacheBehaviorTest, KeywordOrderSharesOneEntry) {
 }
 
 TEST(PlanCacheBehaviorTest, SealAndCompactInvalidate) {
-  UpdatableEngine engine(MakePlantedTree());
+  testing::ScopedDataDir dir("planner_cache_seal_compact");
+  std::unique_ptr<UpdatableEngine> durable =
+      testing::OpenDurableNoBackground(MakePlantedTree(), dir.path());
+  ASSERT_NE(durable, nullptr);
+  UpdatableEngine& engine = *durable;
   std::vector<std::string> keywords = {"alpha", "beta"};
 
   auto hits_before = engine.Search(keywords);
@@ -214,8 +219,7 @@ TEST(PlanCacheBehaviorTest, SealAndCompactInvalidate) {
   // watermark no longer matches, so the next lookup misses and replans.
   // The memtable only covers post-construction nodes, so feed it first.
   engine.AddElement(engine.tree().root(), "n", "alpha beta");
-  std::string seal_path = TempPath("planner_cache_seal");
-  ASSERT_TRUE(engine.SealMemtable(seal_path).ok());
+  ASSERT_TRUE(engine.SealMemtable().ok());
   engine.AddElement(engine.tree().root(), "n", "alpha beta");
   uint64_t hits_before_requery = engine.plan_cache().hits();
   uint64_t misses_before_requery = engine.plan_cache().misses();
@@ -228,10 +232,8 @@ TEST(PlanCacheBehaviorTest, SealAndCompactInvalidate) {
       << "fresh plan must be cached again";
 
   // Compaction invalidates the same way.
-  std::string seal2_path = TempPath("planner_cache_seal2");
-  ASSERT_TRUE(engine.SealMemtable(seal2_path).ok());
-  std::string compact_path = TempPath("planner_cache_compact");
-  ASSERT_TRUE(engine.Compact(compact_path).ok());
+  ASSERT_TRUE(engine.SealMemtable().ok());
+  ASSERT_TRUE(engine.Compact().ok());
   uint64_t hits_before_compacted = engine.plan_cache().hits();
   engine.Search(keywords);
   EXPECT_EQ(engine.plan_cache().hits(), hits_before_compacted)
@@ -240,12 +242,6 @@ TEST(PlanCacheBehaviorTest, SealAndCompactInvalidate) {
   EXPECT_GT(engine.plan_cache().hits(), hits_before_compacted);
 
   (void)hits_before;
-  std::remove(seal_path.c_str());
-  std::remove((seal_path + ".manifest").c_str());
-  std::remove(seal2_path.c_str());
-  std::remove((seal2_path + ".manifest").c_str());
-  std::remove(compact_path.c_str());
-  std::remove((compact_path + ".manifest").c_str());
 }
 
 TEST(PlanCacheBehaviorTest, EnvEscapeHatchDisablesPlanning) {

@@ -2,19 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <memory>
 
 #include "core/multi_doc.h"
+#include "obs/metrics.h"
+#include "obs/slow_log.h"
 #include "testing/corpus.h"
+#include "testing/durable.h"
 #include "util/rng.h"
 #include "xml/xml_parser.h"
 
 namespace xtopk {
 namespace {
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 TEST(UpdatableEngineTest, InsertionsBecomeSearchable) {
   UpdatableEngine engine(ParseXmlStringOrDie("<db><paper>xml</paper></db>"));
@@ -164,16 +163,16 @@ TEST(UpdatableEngineTest, AddDocumentMatchesMultiDocCorpus) {
 }
 
 TEST(UpdatableEngineTest, SealAndCompactPreserveResults) {
-  std::string seg1 = TempPath("upd_seal1.seg");
-  std::string seg2 = TempPath("upd_seal2.seg");
-  std::string compacted = TempPath("upd_compacted.seg");
-
-  UpdatableEngine engine(ParseXmlStringOrDie("<db><p>xml data</p></db>"));
+  testing::ScopedDataDir dir("upd_seal_compact");
+  std::unique_ptr<UpdatableEngine> durable = testing::OpenDurableNoBackground(
+      ParseXmlStringOrDie("<db><p>xml data</p></db>"), dir.path());
+  ASSERT_NE(durable, nullptr);
+  UpdatableEngine& engine = *durable;
   engine.AddElement(engine.tree().root(), "p", "xml keyword");
   auto before = engine.Search({"xml"});
   ASSERT_FALSE(before.empty());
 
-  ASSERT_TRUE(engine.SealMemtable(seg1).ok());
+  ASSERT_TRUE(engine.SealMemtable().ok());
   EXPECT_EQ(engine.memtable_docs(), 0u);
   auto after_seal = engine.Search({"xml"});
   ASSERT_EQ(after_seal.size(), before.size());
@@ -183,11 +182,11 @@ TEST(UpdatableEngineTest, SealAndCompactPreserveResults) {
   }
 
   engine.AddElement(engine.tree().root(), "p", "xml ranking");
-  ASSERT_TRUE(engine.SealMemtable(seg2).ok());
+  ASSERT_TRUE(engine.SealMemtable().ok());
   EXPECT_GE(engine.segment_count(), 3u);  // base + two sealed
 
   auto pre_compact = engine.Search({"xml"});
-  ASSERT_TRUE(engine.Compact(compacted).ok());
+  ASSERT_TRUE(engine.Compact().ok());
   EXPECT_EQ(engine.segment_count(), 1u);
   auto post_compact = engine.Search({"xml"});
   ASSERT_EQ(post_compact.size(), pre_compact.size());
@@ -196,13 +195,99 @@ TEST(UpdatableEngineTest, SealAndCompactPreserveResults) {
     EXPECT_DOUBLE_EQ(post_compact[i].score, pre_compact[i].score);
   }
   EXPECT_EQ(engine.rebuilds(), 0u);
+}
 
-  std::remove(seg1.c_str());
-  std::remove((seg1 + ".manifest").c_str());
-  std::remove(seg2.c_str());
-  std::remove((seg2 + ".manifest").c_str());
-  std::remove(compacted.c_str());
-  std::remove((compacted + ".manifest").c_str());
+TEST(UpdatableEngineTest, ExpiredDeadlineCountsAsExpiration) {
+  UpdatableEngine engine(testing::MakeSmallCorpus());
+  obs::Counter& expirations = obs::MetricsRegistry::Global().GetCounter(
+      "engine.deadline_expirations");
+  for (size_t k : {size_t{0}, size_t{10}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const uint64_t before = expirations.value();
+    BatchQueryResult result =
+        engine.Run({.keywords = {"xml", "data"},
+                    .k = k,
+                    .semantics = Semantics::kElca,
+                    .deadline = DeadlineToken::AtMicros(0)});
+    EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(engine.last_status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(expirations.value(), before + 1);
+  }
+}
+
+/// Engine and UpdatableEngine run every query through one RunQuery, so
+/// over the same tree (two builds of `make_tree`) they agree on the
+/// answer, the status, the engine.queries count and the slow-log capture.
+template <typename MakeTree>
+void ExpectEngineParity(MakeTree make_tree,
+                        const std::vector<std::vector<std::string>>& queries) {
+  const XmlTree tree = make_tree();
+  Engine engine(tree);
+  UpdatableEngine updatable(make_tree());
+  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Global();
+  const obs::SlowLogOptions original = slow_log.options();
+  obs::SlowLogOptions capture_all;
+  capture_all.latency_threshold_us = 0;
+  slow_log.Reconfigure(capture_all);
+  obs::Counter& counted =
+      obs::MetricsRegistry::Global().GetCounter("engine.queries");
+  // Runs `query` on one engine; checks it counted once and was captured.
+  auto run = [&](auto& which, const BatchQuery& query,
+                 obs::SlowQueryCapture* capture) {
+    const uint64_t before = counted.value();
+    BatchQueryResult result = which.Run(query);
+    EXPECT_EQ(counted.value(), before + 1);
+    std::vector<obs::SlowQueryCapture> recent = slow_log.Recent(1);
+    EXPECT_EQ(recent.size(), 1u);
+    if (!recent.empty()) *capture = recent.back();
+    EXPECT_EQ(capture->result_fingerprint, ResultFingerprint(result.hits));
+    return result;
+  };
+  size_t total_hits = 0;
+  for (const std::vector<std::string>& keywords : queries) {
+    for (Semantics semantics : {Semantics::kElca, Semantics::kSlca}) {
+      for (size_t k : {size_t{0}, size_t{10}}) {
+        SCOPED_TRACE(::testing::PrintToString(keywords) + " k=" +
+                     std::to_string(k) +
+                     (semantics == Semantics::kElca ? " elca" : " slca"));
+        const BatchQuery query{.keywords = keywords,
+                               .k = k,
+                               .semantics = semantics,
+                               .deadline = {}};
+        obs::SlowQueryCapture from_engine, from_updatable;
+        BatchQueryResult a = run(engine, query, &from_engine);
+        BatchQueryResult b = run(updatable, query, &from_updatable);
+        total_hits += a.hits.size();
+        EXPECT_EQ(ResultFingerprint(a.hits), ResultFingerprint(b.hits));
+        EXPECT_EQ(a.status.code(), b.status.code());
+        EXPECT_EQ(from_engine.keywords, from_updatable.keywords);
+        EXPECT_EQ(from_engine.k, from_updatable.k);
+        EXPECT_EQ(from_engine.semantics, from_updatable.semantics);
+        EXPECT_EQ(from_engine.hits, from_updatable.hits);
+        EXPECT_EQ(from_engine.result_fingerprint,
+                  from_updatable.result_fingerprint);
+      }
+    }
+  }
+  slow_log.Reconfigure(original);
+  EXPECT_GT(total_hits, 0u) << "the workload must have answers to compare";
+}
+
+TEST(EngineParityTest, SmallCorpus) {
+  ExpectEngineParity(testing::MakeSmallCorpus,
+                     {{"xml", "data"}, {"XML"}, {"data"}, {"xml", "zebra"}});
+}
+
+TEST(EngineParityTest, RandomTree) {
+  ExpectEngineParity(
+      [] {
+        return testing::MakeRandomTree(/*seed=*/11, /*max_nodes=*/400,
+                                       /*max_children=*/5, /*max_depth=*/8,
+                                       {"alpha", "beta", "gamma"},
+                                       /*term_prob=*/0.2);
+      },
+      {{"alpha", "beta"}, {"beta", "gamma"}, {"alpha", "beta", "gamma"},
+       {"gamma"}});
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +17,7 @@
 #include "serve/protocol.h"
 #include "serve/query_service.h"
 #include "testing/corpus.h"
+#include "testing/durable.h"
 
 namespace xtopk {
 namespace serve {
@@ -365,13 +366,15 @@ TEST_F(QueryServiceTest, RepeatQueryHitsResultCache) {
 class UpdatableServiceTest : public ::testing::Test {
  protected:
   UpdatableServiceTest()
-      : engine_(MakeSmallCorpus()), backend_(&engine_) {}
+      : dir_("serve_watermark"),
+        engine_(xtopk::testing::OpenDurableNoBackground(MakeSmallCorpus(),
+                                                        dir_.path())),
+        backend_(engine_.get()) {}
 
-  std::string TempPath(const char* name) {
-    return ::testing::TempDir() + "/serve_watermark_" + name;
-  }
+  void SetUp() override { ASSERT_NE(engine_, nullptr); }
 
-  UpdatableEngine engine_;
+  xtopk::testing::ScopedDataDir dir_;
+  std::unique_ptr<UpdatableEngine> engine_;
   UpdatableBackend backend_;
 };
 
@@ -390,7 +393,7 @@ TEST_F(UpdatableServiceTest, IngestInvalidatesCachedResults) {
   XmlTree doc;
   NodeId root = doc.CreateRoot("paper");
   doc.AppendText(root, "xml data xml data");
-  engine_.AddDocument("fresh", doc);
+  engine_->AddDocument("fresh", doc);
 
   QueryResponse after = service.Execute(request);
   ASSERT_EQ(after.status, ResponseStatus::kOk);
@@ -411,14 +414,14 @@ TEST_F(UpdatableServiceTest, SealAndCompactInvalidateCachedResults) {
   XmlTree doc;
   NodeId root = doc.CreateRoot("paper");
   doc.AppendText(root, "xml data");
-  engine_.AddDocument("d1", doc);
+  engine_->AddDocument("d1", doc);
 
   QueryResponse before = service.Execute(request);
   ASSERT_EQ(before.status, ResponseStatus::kOk);
   service.Execute(request);
   ASSERT_EQ(service.stats().cache_hits, 1u);
 
-  ASSERT_TRUE(engine_.SealMemtable(TempPath("seal.seg")).ok());
+  ASSERT_TRUE(engine_->SealMemtable().ok());
   QueryResponse after_seal = service.Execute(request);
   ASSERT_EQ(after_seal.status, ResponseStatus::kOk);
   EXPECT_EQ(service.stats().cache_hits, 1u);  // seal invalidated
@@ -433,13 +436,13 @@ TEST_F(UpdatableServiceTest, SealAndCompactInvalidateCachedResults) {
   XmlTree doc2;
   NodeId root2 = doc2.CreateRoot("paper");
   doc2.AppendText(root2, "xml data data");
-  engine_.AddDocument("d2", doc2);
-  ASSERT_TRUE(engine_.SealMemtable(TempPath("seal2.seg")).ok());
+  engine_->AddDocument("d2", doc2);
+  ASSERT_TRUE(engine_->SealMemtable().ok());
   QueryResponse after_second = service.Execute(request);
   ASSERT_EQ(after_second.status, ResponseStatus::kOk);
 
   uint64_t hits_before_compact = service.stats().cache_hits;
-  ASSERT_TRUE(engine_.Compact(TempPath("compact.seg")).ok());
+  ASSERT_TRUE(engine_->Compact().ok());
   QueryResponse after_compact = service.Execute(request);
   ASSERT_EQ(after_compact.status, ResponseStatus::kOk);
   EXPECT_EQ(service.stats().cache_hits, hits_before_compact)
