@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <functional>
+#include <queue>
 
 #include "core/dag_join.h"
 #include "obs/accounting.h"
@@ -34,6 +36,9 @@ void FlushJoinStatsToRegistry(const JoinSearchStats& stats) {
   if (stats.deadline_expired) {
     XTOPK_COUNTER("core.join.deadline_expirations").Add(1);
   }
+  if (stats.floor_levels_skipped > 0) {
+    XTOPK_COUNTER("core.join.floor_stops").Add(1);
+  }
 }
 
 }  // namespace
@@ -46,10 +51,8 @@ JoinSearch::Erasure::Erasure(bool use_ranges, uint32_t rows,
 
 void JoinSearch::Erasure::EraseRange(uint32_t begin, uint32_t end) {
   if (use_ranges_) {
-    size_t before = ranges_.interval_count();
-    ranges_.Add(begin, end);
-    // Cost model: intervals merged away plus the insertion itself.
-    *touches_ += before - ranges_.interval_count() + 2;
+    ranges_.Add(begin, end);  // an append; merged at FinishLevel
+    *touches_ += 1;
   } else {
     for (uint32_t r = begin; r < end; ++r) bitmap_[r] = 1;
     *touches_ += end - begin;
@@ -68,6 +71,10 @@ uint32_t JoinSearch::Erasure::CountErased(uint32_t begin, uint32_t end) const {
   for (uint32_t r = begin; r < end; ++r) count += bitmap_[r];
   *touches_ += end - begin;
   return count;
+}
+
+void JoinSearch::Erasure::FinishLevel() {
+  if (use_ranges_) *touches_ += ranges_.Commit();
 }
 
 template <typename Fn>
@@ -216,6 +223,12 @@ std::vector<SearchResult> JoinSearch::SearchWithTrace(
                          &stats_.erasure_touches);
   }
 
+  std::vector<size_t> slot(k);  // query position -> join-order position
+  for (size_t j = 0; j < k; ++j) slot[order[j]] = j;
+  // Top-K floor: `kept` holds the k best scores so far, smallest on top.
+  const bool floored = floor_k_ > 0;
+  std::priority_queue<double, std::vector<double>, std::greater<double>> kept;
+
   for (uint32_t level = start_level; level >= 1; --level) {
     // Level boundary = deadline checkpoint: each level's joins and erasure
     // updates run to completion, so stopping here leaves a consistent
@@ -227,6 +240,16 @@ std::vector<SearchResult> JoinSearch::SearchWithTrace(
           std::to_string(start_level));
       break;
     }
+    // The floor stops once no result here or shallower can reach the k-th
+    // score — strictly below it, as a tie could still win on node id.
+    const std::vector<double>& bound = floor_bounds_;
+    const bool bounded = floored && level < bound.size();
+    if (bounded && kept.size() == floor_k_ &&
+        *std::max_element(bound.begin() + 1, bound.begin() + level + 1) <
+            kept.top()) {
+      stats_.floor_levels_skipped = level;
+      break;
+    }
     ++stats_.levels_processed;
     LevelTrace level_trace;
     level_trace.level = level;
@@ -234,12 +257,7 @@ std::vector<SearchResult> JoinSearch::SearchWithTrace(
         options_.trace, options_.trace != nullptr
                             ? "level_" + std::to_string(level)
                             : std::string());
-    uint64_t erased_before = stats_.rows_erased;
-    uint64_t candidates_before = stats_.candidates;
-    uint64_t results_before = stats_.results;
-    uint64_t merge_before = stats_.join_ops.merge_joins;
-    uint64_t index_before = stats_.join_ops.index_joins;
-    uint64_t gallop_before = stats_.join_ops.gallop_joins;
+    const JoinSearchStats before = stats_;
 
     // Left-deep pipeline over this level's columns in join order. The
     // merge/gallop/probe decision is re-made per step inside
@@ -249,79 +267,67 @@ std::vector<SearchResult> JoinSearch::SearchWithTrace(
     std::vector<const JDeweyList*> ordered(k);
     for (size_t j = 0; j < k; ++j) ordered[j] = lists[order[j]];
     IntersectStepFn on_step;
+    double step_start_us = 0.0;
     if (trace != nullptr || level_span.enabled()) {
+      if (level_span.enabled()) step_start_us = options_.trace->NowMicros();
       on_step = [&](size_t j, JoinAlgo algo, uint64_t input_runs,
                     uint64_t output_matches) {
-        JoinStepTrace step{order[j], algo == JoinAlgo::kIndex, algo,
-                           input_runs, output_matches, -1.0};
+        JoinStepTrace step{order[j], algo, input_runs, output_matches, -1.0};
         if (plan != nullptr) step.est_output = plan->steps[j].est_out[level - 1];
-        level_trace.steps.push_back(std::move(step));
+        if (level_span.enabled()) {
+          // One span per join step, timed from the previous step's end (the
+          // level's seed for the first): Explain's est-vs-actual view.
+          obs::QueryTrace& t = *options_.trace;
+          double now_us = t.NowMicros();
+          int id = t.AddClosedSpan("join_step", step_start_us,
+                                   now_us - step_start_us);
+          step_start_us = now_us;
+          t.SetLabel(id, "term", keywords[step.query_position]);
+          t.SetLabel(id, "algo", algo == JoinAlgo::kIndex    ? "index"
+                                 : algo == JoinAlgo::kGallop ? "gallop"
+                                                             : "merge");
+          t.AddStat(id, "input_runs", static_cast<double>(input_runs));
+          t.AddStat(id, "actual_out", static_cast<double>(output_matches));
+          if (step.est_output >= 0.0) t.AddStat(id, "est_out", step.est_output);
+        }
+        level_trace.steps.push_back(step);
       };
     }
     std::deque<Run> dag_arena;  // backs translated runs for this level
-    std::vector<LevelMatch> matches;
-    if (plan != nullptr) {
-      std::vector<JoinAlgo> algos(k - 1);
-      for (size_t j = 1; j < k; ++j) algos[j - 1] = plan->steps[j].algos[level - 1];
-      matches = IntersectListsAtLevel(ordered, level, &algos, options_.planner,
-                                      &stats_.join_ops, on_step, &dag_arena);
-    } else {
-      matches = IntersectListsAtLevel(ordered, level, nullptr, options_.planner,
-                                      &stats_.join_ops, on_step, &dag_arena);
+    std::vector<JoinAlgo> algos;
+    for (size_t j = 1; plan != nullptr && j < k; ++j) {
+      algos.push_back(plan->steps[j].algos[level - 1]);
     }
-    if (level_span.enabled()) {
-      // One child span per executed join step, carrying the planner's
-      // estimated output next to the actual (Explain's est-vs-actual view).
-      for (const JoinStepTrace& step : level_trace.steps) {
-        obs::ScopedSpan step_span(options_.trace, "join_step");
-        step_span.Label("term", keywords[step.query_position]);
-        step_span.Label("algo", step.algo == JoinAlgo::kIndex    ? "index"
-                                : step.algo == JoinAlgo::kGallop ? "gallop"
-                                                                 : "merge");
-        step_span.Stat("input_runs", static_cast<double>(step.input_runs));
-        step_span.Stat("actual_out", static_cast<double>(step.output_matches));
-        if (step.est_output >= 0.0) step_span.Stat("est_out", step.est_output);
-      }
-    }
+    std::vector<LevelMatch> matches = IntersectListsAtLevel(
+        ordered, level, plan != nullptr ? &algos : nullptr, options_.planner,
+        &stats_.join_ops, on_step, &dag_arena);
 
     for (const LevelMatch& match : matches) {
       ++stats_.candidates;
       // match.runs[j] belongs to list order[j]; fetch per query position.
-      auto run_of = [&](size_t query_pos) -> const Run* {
-        for (size_t j = 0; j < k; ++j) {
-          if (order[j] == query_pos) return match.runs[j];
-        }
-        assert(false);
-        return nullptr;
-      };
+      auto run_of = [&](size_t i) { return match.runs[slot[i]]; };
 
-      bool is_result = false;
-      if (options_.semantics == Semantics::kElca) {
-        // ELCA (§III-E): every keyword must retain at least one occurrence
-        // not consumed by a lower ELCA. Failed candidates erase nothing —
-        // their surviving occurrences must stay visible to ancestors.
-        is_result = true;
-        for (size_t i = 0; i < k && is_result; ++i) {
-          const Run* run = run_of(i);
-          uint32_t erased =
-              erasure[i].CountErased(run->first_row, run->end_row());
-          if (erased >= run->count) is_result = false;
-        }
-      } else {
-        // SLCA (§III-F): the candidate is an answer iff no occurrence below
-        // it was already matched (no descendant LCA). Every matched value
-        // erases its runs so that ancestors observe the descendant match.
-        is_result = true;
-        for (size_t i = 0; i < k && is_result; ++i) {
-          const Run* run = run_of(i);
-          if (erasure[i].CountErased(run->first_row, run->end_row()) > 0) {
-            is_result = false;
-          }
-        }
+      // ELCA (§III-E): every keyword keeps an occurrence not consumed by a
+      // lower ELCA; a failed candidate erases nothing, so its occurrences
+      // stay visible to ancestors. SLCA (§III-F): no occurrence below was
+      // matched, and every match erases its runs for its ancestors to see.
+      const bool elca = options_.semantics == Semantics::kElca;
+      bool is_result = true;
+      for (size_t i = 0; i < k && is_result; ++i) {
+        const Run* run = run_of(i);
+        uint32_t erased =
+            erasure[i].CountErased(run->first_row, run->end_row());
+        is_result = elca ? erased < run->count : erased == 0;
       }
+      // A result at a level whose bound is below the floor's k-th score
+      // cannot enter the top k: it is erased but neither scored nor mapped.
+      const bool reachable = !bounded || kept.size() < floor_k_ ||
+                             bound[level] >= kept.top();
+      if (is_result && !reachable) ++stats_.floor_results_unscored;
+      bool keep = is_result && reachable;
 
       double score = 0.0;
-      if (is_result && options_.compute_scores) {
+      if (keep && options_.compute_scores) {
         // Sum over keywords of the damped maximum among the occurrences
         // that belong to this result (non-erased rows of the run).
         for (size_t i = 0; i < k; ++i) {
@@ -340,10 +346,14 @@ std::vector<SearchResult> JoinSearch::SearchWithTrace(
           score += best;
         }
       }
+      if (keep && floored) {
+        // Ties with the k-th score stay: the node id may break them.
+        keep = kept.size() < floor_k_ || score >= kept.top();
+        if (keep) kept.push(score);
+        if (kept.size() > floor_k_) kept.pop();
+      }
 
-      bool erase_runs =
-          options_.semantics == Semantics::kSlca ? true : is_result;
-      if (erase_runs) {
+      if (is_result || !elca) {
         for (size_t i = 0; i < k; ++i) {
           const Run* run = run_of(i);
           erasure[i].EraseRange(run->first_row, run->end_row());
@@ -351,37 +361,32 @@ std::vector<SearchResult> JoinSearch::SearchWithTrace(
         }
       }
 
-      if (is_result) {
-        ++stats_.results;
+      if (is_result) ++stats_.results;
+      if (keep) {
         NodeId node = source_->NodeAt(level, match.value);
         assert(node != kInvalidNode);
         results.push_back(SearchResult{node, level, score});
       }
     }
+    for (Erasure& e : erasure) e.FinishLevel();
 
     if (trace != nullptr) {
-      level_trace.candidates = stats_.candidates - candidates_before;
-      level_trace.results = stats_.results - results_before;
-      level_trace.rows_erased = stats_.rows_erased - erased_before;
+      level_trace.candidates = stats_.candidates - before.candidates;
+      level_trace.results = stats_.results - before.results;
+      level_trace.rows_erased = stats_.rows_erased - before.rows_erased;
       trace->push_back(std::move(level_trace));
     }
     if (level_span.enabled()) {
-      level_span.Stat("candidates",
-                      static_cast<double>(stats_.candidates -
-                                          candidates_before));
-      level_span.Stat("results",
-                      static_cast<double>(stats_.results - results_before));
-      level_span.Stat("rows_erased",
-                      static_cast<double>(stats_.rows_erased - erased_before));
-      level_span.Stat("merge_joins",
-                      static_cast<double>(stats_.join_ops.merge_joins -
-                                          merge_before));
-      level_span.Stat("index_joins",
-                      static_cast<double>(stats_.join_ops.index_joins -
-                                          index_before));
-      level_span.Stat("gallop_joins",
-                      static_cast<double>(stats_.join_ops.gallop_joins -
-                                          gallop_before));
+      auto delta = [&](const char* name, uint64_t now, uint64_t then) {
+        level_span.Stat(name, static_cast<double>(now - then));
+      };
+      const JoinOpStats& ops = stats_.join_ops;
+      delta("candidates", stats_.candidates, before.candidates);
+      delta("results", stats_.results, before.results);
+      delta("rows_erased", stats_.rows_erased, before.rows_erased);
+      delta("merge_joins", ops.merge_joins, before.join_ops.merge_joins);
+      delta("index_joins", ops.index_joins, before.join_ops.index_joins);
+      delta("gallop_joins", ops.gallop_joins, before.join_ops.gallop_joins);
     }
   }
   if (root.enabled()) {
@@ -390,8 +395,13 @@ std::vector<SearchResult> JoinSearch::SearchWithTrace(
     root.Stat("results", static_cast<double>(stats_.results));
     root.Stat("rows_erased", static_cast<double>(stats_.rows_erased));
     root.Stat("erasure_touches", static_cast<double>(stats_.erasure_touches));
-    root.Label("termination",
-               stats_.deadline_expired ? "deadline" : "complete");
+    if (floored) {
+      root.Stat("floor_levels_skipped", stats_.floor_levels_skipped);
+      root.Stat("floor_results_unscored", stats_.floor_results_unscored);
+    }
+    root.Label("termination", stats_.deadline_expired       ? "deadline"
+                              : stats_.floor_levels_skipped > 0 ? "topk_floor"
+                                                                : "complete");
   }
   FlushJoinStatsToRegistry(stats_);
   return results;

@@ -57,10 +57,12 @@ struct JoinSearchStats {
   uint64_t candidates = 0;       ///< values matched across all lists
   uint64_t results = 0;
   uint64_t rows_erased = 0;      ///< total rows covered by semantic pruning
-  /// Work units spent inside the erasure structure: interval-map nodes
-  /// visited in range mode, individual rows touched in per-row mode. This
-  /// is the cost the paper's range checking optimizes (ablation A4).
+  /// Work units spent inside the erasure structure (ablation A4). Ranges:
+  /// one per range erased, two per check (a binary search), one per range
+  /// the level-boundary merge reads. Per-row: one per row touched.
   uint64_t erasure_touches = 0;
+  uint32_t floor_levels_skipped = 0;    ///< top-K floor: levels left out
+  uint64_t floor_results_unscored = 0;  ///< ... and results not scored
   /// Whether the last query ran a cost-based plan (vs the size heuristic)
   /// and whether that plan came out of the cache.
   bool planned = false;
@@ -73,8 +75,6 @@ struct JoinSearchStats {
 /// One join step inside a level (EXPLAIN output).
 struct JoinStepTrace {
   size_t query_position = 0;  ///< which keyword's column was joined in
-  bool index_join = false;    ///< true iff the probe join ran (kept for
-                              ///< existing consumers; == algo == kIndex)
   JoinAlgo algo = JoinAlgo::kMerge;  ///< the dynamic three-way choice
   uint64_t input_runs = 0;    ///< right-hand column's run count
   uint64_t output_matches = 0;
@@ -97,6 +97,8 @@ struct LevelTrace {
 /// by erasing matched row ranges. Results come out lowest-level-first;
 /// scores, when enabled, follow §II-B (sum over keywords of the damped
 /// maximum among occurrences belonging to the result).
+/// Under TopKSearch's top-K floor (DESIGN.md §18) it returns only results
+/// reaching the k-th best score so far, stopping when no later level can.
 class JoinSearch {
  public:
   /// Runs against any posting source (in-memory, disk session, segmented).
@@ -125,13 +127,16 @@ class JoinSearch {
   const JoinSearchStats& stats() const { return stats_; }
 
  private:
+  friend class TopKSearch;  // the only setter of the top-K floor
   /// Erasure state of one inverted list: either an interval set over rows
-  /// (range checking) or a plain bitmap (ablation).
+  /// (range checking; erasures show at the next FinishLevel) or a plain
+  /// bitmap (ablation).
   class Erasure {
    public:
     Erasure(bool use_ranges, uint32_t rows, uint64_t* touches);
     void EraseRange(uint32_t begin, uint32_t end);
     uint32_t CountErased(uint32_t begin, uint32_t end) const;
+    void FinishLevel();
     /// fn(lo, hi) over maximal non-erased sub-ranges of [begin, end).
     template <typename Fn>
     void ForEachAlive(uint32_t begin, uint32_t end, Fn&& fn) const;
@@ -148,6 +153,10 @@ class JoinSearch {
   JoinSearchOptions options_;
   JoinSearchStats stats_;
   Status last_status_ = Status::Ok();
+  /// Top-K floor (k = 0: none). floor_bounds_[l] bounds the scores at level
+  /// l, summed in keyword order as a score is; later levels are unbounded.
+  size_t floor_k_ = 0;
+  std::vector<double> floor_bounds_;
 };
 
 }  // namespace xtopk

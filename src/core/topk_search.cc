@@ -31,6 +31,23 @@ void FlushTopKStatsToRegistry(const TopKSearchStats& stats) {
   if (stats.fell_back) XTOPK_COUNTER("core.topk.fallbacks").Add(1);
 }
 
+/// Static per-level bounds B(l) = Σ_i s_m^i(l), l in [1, start_level]
+/// (§IV-C), summed in query keyword order as JoinSearch sums a score.
+std::vector<double> LevelBounds(const std::vector<const TopKList*>& lists,
+                                const ScoringParams& scoring) {
+  uint32_t start_level = UINT32_MAX;
+  for (const TopKList* list : lists) {
+    start_level = std::min<uint32_t>(start_level, list->base->max_length);
+  }
+  std::vector<double> bounds(start_level + 1, 0.0);
+  for (uint32_t l = 1; l <= start_level; ++l) {
+    for (const TopKList* list : lists) {
+      bounds[l] += list->MaxDampedScoreAt(l, scoring);
+    }
+  }
+  return bounds;
+}
+
 uint64_t NodeKey(uint32_t level, uint32_t value) {
   return (static_cast<uint64_t>(level) << 32) | value;
 }
@@ -256,7 +273,9 @@ std::vector<SearchResult> TopKSearch::Search(
   }
 
   bool proven = false;
+  std::vector<double> bounds;
   if (!lists.empty()) {
+    bounds = LevelBounds(lists, options_.scoring);
     uint64_t budget = UINT64_MAX;
     if (options_.fallback_to_complete) {
       uint64_t total_rows = 0;
@@ -264,9 +283,9 @@ std::vector<SearchResult> TopKSearch::Search(
       budget = stats_.budget = total_rows / kStarJoinBudgetDivisor;
       root.Stat("budget", static_cast<double>(budget));
     }
-    proven = StarJoin(lists, budget, &emitted);
+    proven = StarJoin(lists, bounds, budget, &emitted);
   }
-  if (!proven) emitted = CompleteJoin(keywords, std::move(emitted));
+  if (!proven) emitted = CompleteJoin(keywords, bounds, std::move(emitted));
   if (root.enabled()) {
     root.Label("strategy",
                stats_.fell_back ? "complete_fallback" : "star_join");
@@ -288,7 +307,7 @@ std::vector<SearchResult> TopKSearch::Search(
 
 std::vector<SearchResult> TopKSearch::CompleteJoin(
     const std::vector<std::string>& keywords,
-    std::vector<SearchResult> proven) {
+    const std::vector<double>& level_bounds, std::vector<SearchResult> proven) {
   stats_.fell_back = true;
   JoinSearchOptions join_options;
   join_options.semantics = options_.semantics;
@@ -297,7 +316,9 @@ std::vector<SearchResult> TopKSearch::CompleteJoin(
   join_options.deadline = options_.deadline;
   join_options.trace = options_.trace;
   JoinSearch search(source_, join_options);
-  std::vector<SearchResult> results = search.Search(keywords);
+  search.floor_k_ = options_.k;
+  search.floor_bounds_ = level_bounds;
+  std::vector<SearchResult> results = search.Search(keywords);  // ⊇ top k
   stats_.planned = search.stats().planned;
   stats_.plan_cache_hit = search.stats().plan_cache_hit;
   last_status_ = search.status();
@@ -316,6 +337,7 @@ std::vector<SearchResult> TopKSearch::CompleteJoin(
 }
 
 bool TopKSearch::StarJoin(const std::vector<const TopKList*>& lists,
+                          const std::vector<double>& column_bound,
                           uint64_t budget,
                           std::vector<SearchResult>* emitted_out) {
   std::vector<SearchResult>& emitted = *emitted_out;
@@ -323,23 +345,12 @@ bool TopKSearch::StarJoin(const std::vector<const TopKList*>& lists,
   assert(k_sources <= kMaxStarJoinSources);  // Search routes wider queries
   const uint32_t full_mask = (1u << k_sources) - 1;
 
-  uint32_t start_level = lists[0]->base->max_length;
-  for (const TopKList* list : lists) {
-    start_level = std::min<uint32_t>(start_level, list->base->max_length);
-  }
+  const uint32_t start_level = static_cast<uint32_t>(column_bound.size()) - 1;
 
-  // Static per-column upper bounds B(l) = Σ_i s_m^i(l) and the running
-  // maximum over the columns above the current one (§IV-C; the paper's
-  // column-skip rule — a column no sequence ends at is dominated by the one
-  // below — is subsumed by precomputing every bound once per query).
-  std::vector<double> column_bound(start_level + 1, 0.0);
-  for (uint32_t l = 1; l <= start_level; ++l) {
-    double b = 0.0;
-    for (const TopKList* list : lists) {
-      b += list->MaxDampedScoreAt(l, options_.scoring);
-    }
-    column_bound[l] = b;
-  }
+  // The running maximum of the static column bounds over the columns above
+  // the current one (§IV-C; the paper's column-skip rule — a column no
+  // sequence ends at is dominated by the one below — is subsumed by
+  // precomputing every bound once per query).
   std::vector<double> best_above(start_level + 2, StarThreshold::kExhausted);
   for (uint32_t l = 2; l <= start_level + 1; ++l) {
     best_above[l] = std::max(best_above[l - 1], column_bound[l - 1]);

@@ -41,8 +41,9 @@ struct TopKSearchOptions {
   /// Budgeted strategy (DESIGN.md §18): the star join may read at most
   /// Σ|L_i| / kStarJoinBudgetDivisor entries. When the budget runs out
   /// before k results are proven, the attempt is dropped and the query is
-  /// answered by the complete join on the same lists plus a k-bounded
-  /// partial sort. false keeps the unbounded star join (the paper's
+  /// answered by the complete join on the same lists under a top-K floor
+  /// (it stops once no shallower level can beat the k-th score) plus a
+  /// k-bounded partial sort. false keeps the unbounded star join (the paper's
   /// algorithm as Fig. 10 and ablation A2 measure it). Queries of more than
   /// kMaxStarJoinSources keywords take the complete route either way.
   bool fallback_to_complete = true;
@@ -94,8 +95,8 @@ inline constexpr size_t kMaxStarJoinSources = 31;
 /// column whose keywords' value ranges (first/last run, the same min/max
 /// the on-disk block skip directory carries) do not intersect cannot
 /// complete any value and is skipped outright. Under the default budget a
-/// star join that cannot prove k results cheaply gives way to the complete
-/// join (see fallback_to_complete).
+/// star join that cannot prove k results cheaply gives way to the floored
+/// complete join (see fallback_to_complete).
 ///
 /// Every list is resolved, materialized and mapped back to nodes through
 /// one TermSource; the two constructors differ only in where the
@@ -131,16 +132,19 @@ class TopKSearch {
   const TopKSearchStats& stats() const { return stats_; }
 
  private:
-  /// The star join over `lists`, column by column, appending proven results
-  /// to `emitted`. Returns false when the entry budget ran out first.
-  bool StarJoin(const std::vector<const TopKList*>& lists, uint64_t budget,
+  /// The star join over `lists` under `column_bound`, appending proven
+  /// results to `emitted`. Returns false when the budget ran out first.
+  bool StarJoin(const std::vector<const TopKList*>& lists,
+                const std::vector<double>& column_bound, uint64_t budget,
                 std::vector<SearchResult>* emitted);
 
-  /// The complete route: JoinSearch over the same posting source, then the
-  /// k best in SortByScoreDesc order. `proven` is what the star join had
-  /// proven; it is the answer if the deadline expires here.
+  /// The complete route: JoinSearch over the same posting source under a
+  /// top-K floor of `level_bounds` (empty for queries too wide for the star
+  /// join), then the k best in SortByScoreDesc order. `proven` is what the
+  /// star join had proven; it is the answer if the deadline expires here.
   std::vector<SearchResult> CompleteJoin(
       const std::vector<std::string>& keywords,
+      const std::vector<double>& level_bounds,
       std::vector<SearchResult> proven);
 
   /// Backs source_ for the TopKIndex constructor.

@@ -45,6 +45,18 @@ class QueryTrace {
   int OpenSpan(std::string_view name);
   /// Ends span `id`, fixing its duration. Spans close innermost-first.
   void CloseSpan(int id);
+  /// Adds a closed span under the innermost open span for work the caller
+  /// timed (start_us on the NowMicros clock); returns its id.
+  int AddClosedSpan(std::string_view name, double start_us,
+                    double duration_us) {
+    int id = OpenSpan(name);
+    CloseSpan(id);
+    spans_[id].start_us = start_us;
+    spans_[id].duration_us = duration_us;
+    return id;
+  }
+  /// Microseconds since this trace began: the clock span starts are on.
+  double NowMicros() const { return epoch_.ElapsedMicros(); }
 
   /// Adds `delta` to stat `name` of span `id` (created at 0 on first use).
   void AddStat(int id, std::string_view name, double delta);

@@ -1,94 +1,107 @@
 #ifndef XTOPK_UTIL_INTERVAL_SET_H_
 #define XTOPK_UTIL_INTERVAL_SET_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <vector>
 
 namespace xtopk {
 
-/// A set of disjoint half-open uint32 intervals with merge-on-insert.
-/// Backs the range-checking semantic pruning (paper §III-E): erased row
-/// ranges of an inverted list are kept here; a candidate node's run is
-/// checked by counting the erased rows it covers. The paper's containment
-/// property (a parent's range either contains a matched child range or is
-/// disjoint from it) means queries see nested/disjoint intervals only, but
-/// the structure is general.
+/// Disjoint half-open uint32 intervals in flat sorted vectors: the erased
+/// row ranges of one inverted list under range checking (paper §III-E).
+/// Add stages an interval; queries read only committed ones; Commit merges
+/// the staged ones in one linear pass, coalescing. Algorithm 1 commits
+/// at every level boundary, which is exact because runs of different
+/// values at one level cover disjoint rows: a level never queries what it
+/// erased itself (asserted in debug builds).
 class IntervalSet {
  public:
-  /// Inserts [begin, end), merging with overlapping/adjacent intervals.
+  /// Stages [begin, end). The intervals staged between two Commits must
+  /// come in ascending order and be disjoint.
   void Add(uint32_t begin, uint32_t end) {
     if (begin >= end) return;
-    // Find the first interval with start > begin, then step back to a
-    // potential overlapper.
-    auto it = intervals_.upper_bound(begin);
-    if (it != intervals_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= begin) {  // overlaps or touches
-        begin = prev->first;
-        end = end > prev->second ? end : prev->second;
-        covered_ -= prev->second - prev->first;
-        it = intervals_.erase(prev);
-      }
-    }
-    while (it != intervals_.end() && it->first <= end) {
-      end = end > it->second ? end : it->second;
-      covered_ -= it->second - it->first;
-      it = intervals_.erase(it);
-    }
-    intervals_.emplace(begin, end);
-    covered_ += end - begin;
+    assert(staged_.empty() || staged_.back().end <= begin);
+    staged_.push_back(Interval{begin, end});
   }
 
-  /// Number of elements of [begin, end) covered by the set.
+  /// Merges the staged intervals into the committed ones. Returns the
+  /// number of intervals the merge read (0 when nothing was staged).
+  size_t Commit() {
+    if (staged_.empty()) return 0;
+    merged_.resize(intervals_.size() + staged_.size());
+    std::merge(intervals_.begin(), intervals_.end(), staged_.begin(),
+               staged_.end(), merged_.begin(),
+               [](const Interval& a, const Interval& b) {
+                 return a.begin < b.begin;
+               });
+    intervals_.clear();
+    for (const Interval& next : merged_) {
+      if (!intervals_.empty() && intervals_.back().end >= next.begin) {
+        intervals_.back().end = std::max(intervals_.back().end, next.end);
+      } else {
+        intervals_.push_back(next);
+      }
+    }
+    staged_.clear();
+    return merged_.size();
+  }
+
+  /// Number of elements of [begin, end) the committed intervals cover.
   uint32_t CountOverlap(uint32_t begin, uint32_t end) const {
-    if (begin >= end) return 0;
+    assert(!Overlaps(staged_, begin, end));
     uint32_t total = 0;
-    auto it = intervals_.upper_bound(begin);
-    if (it != intervals_.begin()) --it;
-    for (; it != intervals_.end() && it->first < end; ++it) {
-      uint32_t lo = it->first > begin ? it->first : begin;
-      uint32_t hi = it->second < end ? it->second : end;
-      if (lo < hi) total += hi - lo;
+    for (auto it = FirstEndingAfter(intervals_, begin);
+         it != intervals_.end() && it->begin < end; ++it) {
+      total += std::min(it->end, end) - std::max(it->begin, begin);
     }
     return total;
   }
 
-  /// True iff the whole of [begin, end) is covered.
-  bool Covers(uint32_t begin, uint32_t end) const {
-    return CountOverlap(begin, end) == end - begin;
-  }
-
-  /// True iff `x` is in the set.
-  bool Contains(uint32_t x) const { return CountOverlap(x, x + 1) == 1; }
-
-  /// Calls fn(lo, hi) for each maximal uncovered sub-range of [begin, end).
-  /// Used to take the max local score over the non-erased rows of a run.
+  /// Calls fn(lo, hi) for each maximal sub-range of [begin, end) that the
+  /// committed intervals do not cover. Used to take the max local score
+  /// over the non-erased rows of a run.
   template <typename Fn>
   void ForEachUncovered(uint32_t begin, uint32_t end, Fn&& fn) const {
+    assert(!Overlaps(staged_, begin, end));
     uint32_t cursor = begin;
-    auto it = intervals_.upper_bound(begin);
-    if (it != intervals_.begin()) --it;
-    for (; it != intervals_.end() && it->first < end; ++it) {
-      if (it->second <= cursor) continue;
-      if (it->first > cursor) fn(cursor, it->first < end ? it->first : end);
-      cursor = it->second;
-      if (cursor >= end) return;
+    for (auto it = FirstEndingAfter(intervals_, begin);
+         it != intervals_.end() && it->begin < end; ++it) {
+      if (it->begin > cursor) fn(cursor, it->begin);
+      cursor = it->end;
     }
     if (cursor < end) fn(cursor, end);
   }
 
-  /// Total number of covered elements.
-  uint64_t covered() const { return covered_; }
   size_t interval_count() const { return intervals_.size(); }
   void Clear() {
     intervals_.clear();
-    covered_ = 0;
+    staged_.clear();
   }
 
  private:
-  std::map<uint32_t, uint32_t> intervals_;  // begin -> end
-  uint64_t covered_ = 0;
+  struct Interval {
+    uint32_t begin;
+    uint32_t end;
+  };
+  using Intervals = std::vector<Interval>;
+
+  /// First interval of `v` that ends after `x` (a binary search).
+  static Intervals::const_iterator FirstEndingAfter(const Intervals& v,
+                                                    uint32_t x) {
+    return std::upper_bound(
+        v.begin(), v.end(), x,
+        [](uint32_t value, const Interval& in) { return value < in.end; });
+  }
+  static bool Overlaps(const Intervals& v, uint32_t begin, uint32_t end) {
+    auto it = FirstEndingAfter(v, begin);
+    return begin < end && it != v.end() && it->begin < end;
+  }
+
+  Intervals intervals_;  // committed: sorted, coalesced
+  Intervals staged_;     // added since the last Commit
+  Intervals merged_;     // Commit's scratch buffer, reused
 };
 
 }  // namespace xtopk

@@ -54,7 +54,7 @@ TEST(JoinTraceTest, DynamicDecisionsVisiblePerLevel) {
   bool saw_index_join = false;
   for (const LevelTrace& level : trace) {
     for (const JoinStepTrace& step : level.steps) {
-      if (step.index_join) saw_index_join = true;
+      if (step.algo == JoinAlgo::kIndex) saw_index_join = true;
       // The joined column is always the long keyword's (query position 1,
       // since "needle" is shorter and seeds the pipeline).
       EXPECT_EQ(step.query_position, 1u);
@@ -94,8 +94,12 @@ TEST(JoinTraceTest, ContextAwareSelectionAcrossLevels) {
   for (const LevelTrace& level : trace) {
     ASSERT_EQ(level.steps.size(), 2u);
     const JoinStepTrace& second = level.steps[1];
-    if (level.level >= 4 && second.index_join) deep_used_index = true;
-    if (level.level <= 3 && !second.index_join) shallow_used_merge = true;
+    if (level.level >= 4 && second.algo == JoinAlgo::kIndex) {
+      deep_used_index = true;
+    }
+    if (level.level <= 3 && second.algo != JoinAlgo::kIndex) {
+      shallow_used_merge = true;
+    }
   }
   EXPECT_TRUE(deep_used_index)
       << "expected the index join where few papers hold both rare terms";
@@ -119,6 +123,45 @@ TEST(JoinTraceTest, SearchAndSearchWithTraceAgree) {
     EXPECT_EQ(plain[i].node, traced[i].node);
     EXPECT_EQ(plain[i].score, traced[i].score);
   }
+}
+
+TEST(JoinTraceTest, StepSpansTimeTheJoinSteps) {
+  // Three keywords: two join steps per level. Each step span is timed
+  // around its own join, so the steps of a level are back to back inside
+  // the level span.
+  XmlTree tree = testing::MakeRandomTree(
+      89, 3000, 5, 7, {"alpha", "beta", "gamma"}, 0.3);
+  IndexBuildOptions build_options;
+  build_options.index_tag_names = false;
+  IndexBuilder builder(tree, build_options);
+  JDeweyIndex index = builder.BuildJDeweyIndex();
+  obs::QueryTrace trace;
+  JoinSearchOptions options;
+  options.trace = &trace;
+  JoinSearch search(index, options);
+  search.Search({"alpha", "beta", "gamma"});
+
+  const auto& spans = trace.spans();
+  size_t multi_step_levels = 0;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name.rfind("level_", 0) != 0) continue;
+    double step_sum = 0.0;
+    size_t steps = 0;
+    for (const auto& span : spans) {
+      if (span.parent != static_cast<int>(i) || span.name != "join_step") {
+        continue;
+      }
+      ++steps;
+      EXPECT_FALSE(span.open);
+      EXPECT_GT(span.duration_us, 0.0) << spans[i].name;
+      EXPECT_GE(span.start_us, spans[i].start_us) << spans[i].name;
+      step_sum += span.duration_us;
+    }
+    if (steps < 2) continue;
+    ++multi_step_levels;
+    EXPECT_LE(step_sum, spans[i].duration_us) << spans[i].name;
+  }
+  EXPECT_GT(multi_step_levels, 0u);
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
 // Cross-implementation property tests: on randomized trees, the join-based
 // algorithm (both erasure modes, all join policies), the stack-based
 // baseline, and the index-based baseline must produce exactly the node set
-// and scores of the direct-from-definition oracle, for both ELCA and SLCA.
+// and scores of the direct-from-definition oracle, for both ELCA and SLCA;
+// the default top-K search must return the oracle's k best.
 // This is the main correctness pin of the library.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "baseline/indexed_lookup.h"
 #include "baseline/naive.h"
 #include "baseline/stack_search.h"
 #include "core/join_search.h"
+#include "core/topk_search.h"
 #include "index/index_builder.h"
 #include "testing/corpus.h"
 
@@ -66,6 +69,7 @@ TEST_P(SemanticsPropertyTest, AllAlgorithmsMatchOracle) {
   build_options.index_tag_names = false;  // only the planted terms matter
   IndexBuilder builder(tree, build_options);
   JDeweyIndex jindex = builder.BuildJDeweyIndex();
+  TopKIndex topk_index = builder.BuildTopKIndex(jindex);
   DeweyIndex dindex = builder.BuildDeweyIndex();
   NaiveOracle oracle(tree, dindex);
 
@@ -106,6 +110,26 @@ TEST_P(SemanticsPropertyTest, AllAlgorithmsMatchOracle) {
       IndexedLookupSearch search(tree, dindex, options);
       ExpectSameResults(search.Search(terms), want, /*check_scores=*/true,
                         base_label + " index-based");
+    }
+
+    // Top-K under the default budget (these lists are short, so it mostly
+    // takes the floored complete route): the oracle's k best, in
+    // ScoreDescLess order.
+    std::vector<SearchResult> ranked = want;
+    std::sort(ranked.begin(), ranked.end(), ScoreDescLess);
+    for (size_t top_k : {1, 3, 10}) {
+      TopKSearchOptions options;
+      options.semantics = semantics;
+      options.k = top_k;
+      TopKSearch search(topk_index, options);
+      std::vector<SearchResult> got = search.Search(terms);
+      std::string label = base_label + " top-" + std::to_string(top_k);
+      ASSERT_EQ(got.size(), std::min(top_k, ranked.size())) << label;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].node, ranked[i].node) << label << " pos " << i;
+        ASSERT_NEAR(got[i].score, ranked[i].score, 1e-6)
+            << label << " pos " << i;
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include "core/join_search.h"
 #include "index/index_builder.h"
+#include "obs/metrics.h"
 #include "testing/corpus.h"
 
 namespace xtopk {
@@ -220,6 +221,161 @@ TEST(TopKSearchTest, EarlyTerminationReadsLessOnLargeResultSets) {
   // than one pass over the lists.
   EXPECT_LT(search.stats().entries_read, total_rows);
   EXPECT_GT(search.stats().early_emissions, 0u);
+}
+
+/// The complete route's top-K floor, read off the fallback's join_search
+/// span.
+struct FloorTrace {
+  double levels = 0.0;
+  double levels_skipped = 0.0;
+  double results_unscored = 0.0;
+  std::string termination;
+};
+
+FloorTrace FallbackFloorTrace(const obs::QueryTrace& trace) {
+  FloorTrace out;
+  const auto& spans = trace.spans();
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name != "join_search") continue;
+    int id = static_cast<int>(i);
+    out.levels = trace.StatOr(id, "levels", -1.0);
+    out.levels_skipped = trace.StatOr(id, "floor_levels_skipped", -1.0);
+    out.results_unscored = trace.StatOr(id, "floor_results_unscored", -1.0);
+    for (const auto& [key, value] : spans[i].labels) {
+      if (key == "termination") out.termination = value;
+    }
+  }
+  return out;
+}
+
+/// Builds the index of `tree` over its text only.
+struct Indexed {
+  explicit Indexed(const XmlTree& tree)
+      : builder(tree, Options()),
+        jindex(builder.BuildJDeweyIndex()),
+        topk(builder.BuildTopKIndex(jindex)) {}
+  static IndexBuildOptions Options() {
+    IndexBuildOptions options;
+    options.index_tag_names = false;
+    return options;
+  }
+  IndexBuilder builder;
+  JDeweyIndex jindex;
+  TopKIndex topk;
+};
+
+void ExpectSameTopK(const std::vector<SearchResult>& got,
+                    const std::vector<SearchResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].node, want[i].node) << "pos " << i;
+    EXPECT_EQ(got[i].level, want[i].level) << "pos " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "pos " << i;
+  }
+}
+
+TEST(TopKFloorTest, TiesAtTheKthScoreKeepTheNodeIdTieBreak) {
+  // A chain of five nested ELCAs, each holding both keywords itself: all
+  // five score alike, at levels 2..6. The deepest two fill the floor's
+  // heap first; each shallower level's bound equals the k-th score, so the
+  // floor must not skip it — the shallower nodes win on node id.
+  XmlTree tree;
+  NodeId parent = tree.CreateRoot("r");
+  for (int depth = 0; depth < 5; ++depth) {
+    parent = tree.AddChild(parent, "x");
+    tree.AppendText(parent, "alpha beta");
+  }
+  Indexed index(tree);
+  const std::vector<std::string> terms = {"alpha", "beta"};
+
+  std::vector<SearchResult> complete =
+      CompleteTopK(index.jindex, terms, Semantics::kElca, 100);
+  ASSERT_EQ(complete.size(), 5u);
+  for (const SearchResult& r : complete) {
+    EXPECT_EQ(r.score, complete[0].score);  // more than k share the score
+  }
+
+  for (size_t k : {1, 2, 4}) {
+    TopKSearchOptions options;
+    options.k = k;
+    TopKSearch search(index.topk, options);
+    std::vector<SearchResult> got = search.Search(terms);
+    EXPECT_TRUE(search.stats().fell_back);
+    ExpectSameTopK(got, CompleteTopK(index.jindex, terms, Semantics::kElca, k));
+  }
+}
+
+TEST(TopKFloorTest, FallbackOnDeepCorpusStopsAboveTheDeepResults) {
+  // Twenty results sit at level 10 under a chain of eight wrappers. Once
+  // the deepest level fills the k-heap, every shallower level's bound is
+  // damped below the k-th score: the floor stops after one level.
+  XmlTree tree;
+  NodeId parent = tree.CreateRoot("r");
+  for (int depth = 0; depth < 8; ++depth) parent = tree.AddChild(parent, "d");
+  for (int i = 0; i < 20; ++i) {
+    tree.AppendText(tree.AddChild(parent, "p"), "alpha beta");
+  }
+  Indexed index(tree);
+  const std::vector<std::string> terms = {"alpha", "beta"};
+  const uint32_t start_level = index.jindex.GetList("alpha")->max_length;
+  ASSERT_EQ(start_level, 10u);
+
+  obs::Counter& floor_stops =
+      obs::MetricsRegistry::Global().GetCounter("core.join.floor_stops");
+  const uint64_t stops_before = floor_stops.value();
+  obs::QueryTrace trace;
+  TopKSearchOptions options;
+  options.k = 3;
+  options.trace = &trace;
+  TopKSearch search(index.topk, options);
+  std::vector<SearchResult> got = search.Search(terms);
+  ASSERT_TRUE(search.stats().fell_back);
+  ExpectSameTopK(got, CompleteTopK(index.jindex, terms, Semantics::kElca, 3));
+
+  FloorTrace floor = FallbackFloorTrace(trace);
+  EXPECT_LT(floor.levels, static_cast<double>(start_level));
+  EXPECT_EQ(floor.levels, 1.0);
+  EXPECT_EQ(floor.levels_skipped, 9.0);
+  EXPECT_EQ(floor.termination, "topk_floor");
+  EXPECT_EQ(floor_stops.value(), stops_before + 1);
+}
+
+TEST(TopKFloorTest, LevelBelowTheKthScoreIsJoinedButNotScored) {
+  // Results at level 10 (tf 2) fill the heap; the level-6 result (tf 1)
+  // has a bound below their score and is left unscored, while the level-2
+  // result (tf 3) keeps every shallower level in play and enters the top k.
+  XmlTree tree;
+  NodeId root = tree.CreateRoot("r");
+  tree.AppendText(tree.AddChild(root, "top"),
+                  "alpha alpha alpha beta beta beta");
+  NodeId parent = root;
+  for (int depth = 0; depth < 4; ++depth) parent = tree.AddChild(parent, "c");
+  tree.AppendText(tree.AddChild(parent, "m"), "alpha beta");
+  parent = root;
+  for (int depth = 0; depth < 8; ++depth) parent = tree.AddChild(parent, "d");
+  for (int i = 0; i < 5; ++i) {
+    tree.AppendText(tree.AddChild(parent, "p"), "alpha alpha beta beta");
+  }
+  Indexed index(tree);
+  const std::vector<std::string> terms = {"alpha", "beta"};
+
+  obs::QueryTrace trace;
+  TopKSearchOptions options;
+  options.k = 3;
+  options.trace = &trace;
+  TopKSearch search(index.topk, options);
+  std::vector<SearchResult> got = search.Search(terms);
+  ASSERT_TRUE(search.stats().fell_back);
+  std::vector<SearchResult> want =
+      CompleteTopK(index.jindex, terms, Semantics::kElca, 3);
+  ExpectSameTopK(got, want);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].level, 2u);
+
+  FloorTrace floor = FallbackFloorTrace(trace);
+  EXPECT_EQ(floor.results_unscored, 1.0);
+  EXPECT_EQ(floor.levels_skipped, 0.0);
+  EXPECT_EQ(floor.termination, "complete");
 }
 
 }  // namespace

@@ -35,6 +35,26 @@ TEST(TraceTest, SpansNestByCallOrder) {
   }
 }
 
+TEST(TraceTest, ClosedSpanNestsUnderOpenSpanWithItsOwnTiming) {
+  QueryTrace trace;
+  int level = trace.OpenSpan("level_2");
+  double start = trace.NowMicros();
+  int step = trace.AddClosedSpan("join_step", start, 1.5);
+  trace.AddStat(step, "actual_out", 3);
+  int after = trace.OpenSpan("after");  // still under level_2
+  trace.CloseSpan(after);
+  trace.CloseSpan(level);
+
+  const auto& spans = trace.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[step].parent, level);
+  EXPECT_FALSE(spans[step].open);
+  EXPECT_EQ(spans[step].start_us, start);
+  EXPECT_EQ(spans[step].duration_us, 1.5);
+  EXPECT_EQ(trace.StatOr(step, "actual_out"), 3.0);
+  EXPECT_EQ(spans[after].parent, level);
+}
+
 TEST(TraceTest, DisabledTracingOpensNoSpans) {
   Counter& opened =
       MetricsRegistry::Global().GetCounter("obs.spans_opened");

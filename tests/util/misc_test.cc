@@ -1,10 +1,9 @@
-// Small utilities not covered elsewhere: result-sorting helpers, the timer,
-// and IntervalSet::Clear.
+// Small utilities not covered elsewhere: result-sorting helpers and the
+// timer.
 
 #include <gtest/gtest.h>
 
 #include "core/search_result.h"
-#include "util/interval_set.h"
 #include "util/timer.h"
 
 namespace xtopk {
@@ -47,19 +46,6 @@ TEST(TimerTest, MeasuresElapsedTime) {
               timer.ElapsedSeconds() * 100);
   timer.Reset();
   EXPECT_LE(timer.ElapsedSeconds(), first + 1.0);
-}
-
-TEST(IntervalSetTest, ClearResets) {
-  IntervalSet set;
-  set.Add(1, 10);
-  set.Add(20, 30);
-  ASSERT_GT(set.covered(), 0u);
-  set.Clear();
-  EXPECT_EQ(set.covered(), 0u);
-  EXPECT_EQ(set.interval_count(), 0u);
-  EXPECT_EQ(set.CountOverlap(0, 100), 0u);
-  set.Add(5, 6);
-  EXPECT_TRUE(set.Contains(5));
 }
 
 }  // namespace
