@@ -150,8 +150,13 @@ StatusOr<std::unique_ptr<UpdatableEngine>> UpdatableEngine::OpenDurable(
   engine->segments_.SetCorpusNodes(engine->tree_.node_count());
 
   UpdatableEngine* raw = engine.get();
-  engine->scheduler_ = std::make_unique<CompactionScheduler>(
-      [raw] { return raw->CompactRound(/*merge_all=*/false); });
+  engine->scheduler_ = std::make_unique<CompactionScheduler>([raw] {
+    // A failed round is logged for recovery and retried at the next
+    // wake-up; the scheduler only needs to know whether one published.
+    bool published = false;
+    (void)raw->CompactRound(/*merge_all=*/false, &published);
+    return published;
+  });
   if (durable.auto_compact) engine->scheduler_->Start();
   return engine;
 }
@@ -313,15 +318,15 @@ void UpdatableEngine::RefreshMemtable() {
   size_t count = tree_.node_count();
   if (watermark_ >= count) {
     memtable_.reset();
-    segments_.SetMemtable(std::shared_ptr<const JDeweyIndex>());
   } else {
     std::vector<NodeId> nodes;
     nodes.reserve(count - watermark_);
     for (NodeId id = watermark_; id < count; ++id) nodes.push_back(id);
     memtable_ = std::make_shared<const JDeweyIndex>(
         BuildSegmentIndex(tree_, encoding_, nodes, options_.index));
-    segments_.SetMemtable(memtable_);
   }
+  // One version for the new memtable and the grown N together.
+  segments_.SetMemtable(memtable_, count);
   memtable_dirty_ = false;
   ++memtable_refreshes_;
   XTOPK_COUNTER("engine.memtable_refreshes").Add(1);
@@ -340,7 +345,8 @@ void UpdatableEngine::EnsureFresh() {
     RefreshMemtable();
   }
   // N of the idf term grows with the tree; a change invalidates the
-  // segmented index's score caches (version bump inside).
+  // version's scores (version bump inside; a no-op after the refresh
+  // above, which published N with the memtable).
   segments_.SetCorpusNodes(tree_.node_count());
 }
 
@@ -358,7 +364,7 @@ void UpdatableEngine::SealInMemory() {
 void UpdatableEngine::SealedUpTo(size_t count) {
   watermark_ = static_cast<NodeId>(count);
   memtable_.reset();
-  segments_.SetMemtable(std::shared_ptr<const JDeweyIndex>());
+  segments_.SetMemtable(nullptr, tree_.node_count());
   memtable_dirty_ = false;
   memtable_docs_ = 0;
   XTOPK_GAUGE("index.memtable_docs").Set(0);
@@ -430,8 +436,8 @@ Status UpdatableEngine::Compact() {
         "Compact() needs a durable engine (OpenDurable)");
   }
   EnsureFresh();
-  CompactRound(/*merge_all=*/true);
-  return Status::Ok();
+  bool published = false;
+  return CompactRound(/*merge_all=*/true, &published);
 }
 
 void UpdatableEngine::AbandonOutput(uint64_t id, const std::string& path) {
@@ -442,7 +448,8 @@ void UpdatableEngine::AbandonOutput(uint64_t id, const std::string& path) {
   RemoveSegmentFiles(path);
 }
 
-bool UpdatableEngine::CompactRound(bool merge_all) {
+Status UpdatableEngine::CompactRound(bool merge_all, bool* published) {
+  *published = false;
   std::shared_ptr<const SegmentSetVersion> pinned = segments_.Pin();
   std::vector<std::shared_ptr<const SealedSegment>> disks;
   for (const auto& seg : pinned->sealed()) {
@@ -451,7 +458,7 @@ bool UpdatableEngine::CompactRound(bool merge_all) {
 
   std::vector<std::shared_ptr<const SealedSegment>> inputs;
   if (merge_all) {
-    if (disks.size() < 2) return false;
+    if (disks.size() < 2) return Status::Ok();
     inputs = std::move(disks);
   } else {
     std::vector<uint64_t> sizes;
@@ -459,7 +466,7 @@ bool UpdatableEngine::CompactRound(bool merge_all) {
     for (const auto& seg : disks) sizes.push_back(seg->data_bytes());
     std::vector<size_t> picked =
         PickTieredCompaction(sizes, durable_options_.compaction);
-    if (picked.size() < 2) return false;
+    if (picked.size() < 2) return Status::Ok();
     inputs.reserve(picked.size());
     for (size_t idx : picked) inputs.push_back(disks[idx]);
   }
@@ -483,7 +490,8 @@ bool UpdatableEngine::CompactRound(bool merge_all) {
     begin.type = ManifestRecordType::kCompactBegin;
     begin.id = out_id;
     begin.inputs = input_ids;
-    if (!log_->Append(begin).ok()) return false;
+    Status s = log_->Append(begin);
+    if (!s.ok()) return s;
   }
 
   // The merge + write runs OFF the maintenance lock: queries keep
@@ -499,7 +507,7 @@ bool UpdatableEngine::CompactRound(bool merge_all) {
              : StatusOr<std::shared_ptr<const SealedSegment>>(s);
   if (!output.ok()) {
     AbandonOutput(out_id, out_path);
-    return false;
+    return output.status();
   }
 
   {
@@ -509,19 +517,21 @@ bool UpdatableEngine::CompactRound(bool merge_all) {
     // switch the memory state refused.
     if (!segments_.PublishCompaction(inputs, *output)) {
       AbandonOutput(out_id, out_path);
-      return false;
+      return Status::Internal("segment set changed during compaction");
     }
+    *published = true;
     ManifestRecord commit;
     commit.type = ManifestRecordType::kCompactCommit;
     commit.id = out_id;
     commit.covered_nodes = covered;
     commit.inputs = input_ids;
-    if (!log_->Append(commit).ok()) {
+    s = log_->Append(commit);
+    if (!s.ok()) {
       // The commit never became durable: reopen recovers the INPUTS (the
       // pre-compaction state) and deletes the output as an orphan. This
       // process keeps serving the published output — result-identical —
       // but must NOT delete the input files recovery depends on.
-      return true;
+      return s;
     }
     for (const auto& seg : inputs) {
       ManifestRecord drop;
@@ -549,7 +559,7 @@ bool UpdatableEngine::CompactRound(bool merge_all) {
         static_cast<double>(durable_options_.compaction.throttle_bytes_per_sec);
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   }
-  return true;
+  return Status::Ok();
 }
 
 uint64_t UpdatableEngine::plan_watermark() {

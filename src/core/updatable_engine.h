@@ -119,7 +119,9 @@ class UpdatableEngine {
 
   /// DURABLE: synchronously merges all log-managed disk segments into one
   /// (the same crash-safe kCompactBegin/kCompactCommit/kDrop protocol the
-  /// background rounds use). No-op with fewer than two.
+  /// background rounds use). Ok and a no-op with fewer than two; the
+  /// failure when the merge, the write, a log append or the publish
+  /// failed (answers are unchanged either way).
   Status Compact();
 
   const XmlTree& tree() const { return tree_; }
@@ -205,11 +207,12 @@ class UpdatableEngine {
   Status SealDurableLocked();
   /// One compaction round over the log-managed disk segments: pick
   /// (tiered, or everything when `merge_all`), kCompactBegin, merge +
-  /// write off-lock, kCompactCommit + publish, kDrop + supersede the
-  /// inputs. Returns true when a merge was published. Runs on the
-  /// maintenance thread or a caller thread — never two at once
-  /// (maintenance_mu_ serializes the log/publish sections).
-  bool CompactRound(bool merge_all);
+  /// write off-lock, publish + kCompactCommit, kDrop + supersede the
+  /// inputs. `published` reports whether a merge was published; the
+  /// status is Ok when the round completed or found nothing to merge.
+  /// Runs on the maintenance thread or a caller thread — never two at
+  /// once (maintenance_mu_ serializes the log/publish sections).
+  Status CompactRound(bool merge_all, bool* published);
   /// Logs a kDrop for the abandoned output id and deletes its files
   /// (failed/raced compaction cleanup).
   void AbandonOutput(uint64_t id, const std::string& path);

@@ -21,7 +21,8 @@ std::shared_ptr<const JDeweyIndex> Borrow(const JDeweyIndex* memtable) {
 
 SegmentedIndex::SegmentedIndex() {
   head_ = std::make_shared<const SegmentSetVersion>(
-      next_version_++, std::vector<std::shared_ptr<const SealedSegment>>{},
+      next_version_++, std::make_shared<const SealedSetState>(
+                           std::vector<std::shared_ptr<const SealedSegment>>{}),
       nullptr, 0);
 }
 
@@ -31,12 +32,18 @@ std::shared_ptr<const SegmentSetVersion> SegmentedIndex::Pin() const {
 }
 
 void SegmentedIndex::PublishLocked(
-    std::vector<std::shared_ptr<const SealedSegment>> sealed,
+    std::shared_ptr<const SealedSetState> state,
     std::shared_ptr<const JDeweyIndex> memtable, uint64_t corpus_nodes) {
-  size_t sealed_count = sealed.size();
+  size_t sealed_count = state->sealed().size();
   head_ = std::make_shared<const SegmentSetVersion>(
-      next_version_++, std::move(sealed), std::move(memtable), corpus_nodes);
+      next_version_++, std::move(state), std::move(memtable), corpus_nodes);
   XTOPK_GAUGE("index.segments").Set(static_cast<int64_t>(sealed_count));
+}
+
+void SegmentedIndex::PublishSealedLocked(
+    std::vector<std::shared_ptr<const SealedSegment>> sealed) {
+  PublishLocked(std::make_shared<const SealedSetState>(std::move(sealed)),
+                head_->memtable_ref(), head_->corpus_nodes());
 }
 
 void SegmentedIndex::AddMemorySegment(JDeweyIndex segment,
@@ -46,8 +53,7 @@ void SegmentedIndex::AddMemorySegment(JDeweyIndex segment,
   std::lock_guard<std::mutex> lock(mu_);
   auto list = head_->sealed();
   list.push_back(std::move(sealed));
-  PublishLocked(std::move(list), head_->memtable_ref(),
-                head_->corpus_nodes());
+  PublishSealedLocked(std::move(list));
 }
 
 Status SegmentedIndex::AddDiskSegment(const std::string& path,
@@ -58,29 +64,34 @@ Status SegmentedIndex::AddDiskSegment(const std::string& path,
   std::lock_guard<std::mutex> lock(mu_);
   auto list = head_->sealed();
   list.push_back(std::move(*sealed));
-  PublishLocked(std::move(list), head_->memtable_ref(),
-                head_->corpus_nodes());
+  PublishSealedLocked(std::move(list));
   return Status::Ok();
 }
 
 void SegmentedIndex::SetMemtable(const JDeweyIndex* memtable) {
-  SetMemtable(memtable == nullptr ? nullptr : Borrow(memtable));
+  std::lock_guard<std::mutex> lock(mu_);
+  PublishLocked(head_->state(),
+                memtable == nullptr ? nullptr : Borrow(memtable),
+                head_->corpus_nodes());
 }
 
-void SegmentedIndex::SetMemtable(std::shared_ptr<const JDeweyIndex> memtable) {
+void SegmentedIndex::SetMemtable(std::shared_ptr<const JDeweyIndex> memtable,
+                                 uint64_t corpus_nodes) {
   std::lock_guard<std::mutex> lock(mu_);
-  PublishLocked(head_->sealed(), std::move(memtable), head_->corpus_nodes());
+  PublishLocked(head_->state(), std::move(memtable), corpus_nodes);
 }
 
 void SegmentedIndex::SetCorpusNodes(uint64_t corpus_nodes) {
   std::lock_guard<std::mutex> lock(mu_);
   if (corpus_nodes == head_->corpus_nodes()) return;
-  PublishLocked(head_->sealed(), head_->memtable_ref(), corpus_nodes);
+  PublishLocked(head_->state(), head_->memtable_ref(), corpus_nodes);
 }
 
 void SegmentedIndex::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  PublishLocked({}, nullptr, head_->corpus_nodes());
+  PublishLocked(std::make_shared<const SealedSetState>(
+                    std::vector<std::shared_ptr<const SealedSegment>>{}),
+                nullptr, head_->corpus_nodes());
 }
 
 bool SegmentedIndex::PublishCompaction(
@@ -104,8 +115,7 @@ bool SegmentedIndex::PublishCompaction(
                                                seg) != inputs.end();
                             }),
              list.end());
-  PublishLocked(std::move(list), head_->memtable_ref(),
-                head_->corpus_nodes());
+  PublishSealedLocked(std::move(list));
   return true;
 }
 

@@ -58,9 +58,13 @@ class SegmentedIndex : public TermSource {
   /// index covering the not-yet-sealed nodes. The raw-pointer overload
   /// borrows (the caller keeps it alive across every version that may
   /// still reference it); the shared_ptr overload lets pinned versions
-  /// keep a replaced memtable alive on their own.
+  /// keep a replaced memtable alive on their own, and publishes the
+  /// corpus node count with it in one version. Either way the new
+  /// version shares the sealed set's state (merged lists, term globals)
+  /// with the old one.
   void SetMemtable(const JDeweyIndex* memtable);
-  void SetMemtable(std::shared_ptr<const JDeweyIndex> memtable);
+  void SetMemtable(std::shared_ptr<const JDeweyIndex> memtable,
+                   uint64_t corpus_nodes);
 
   /// Total nodes of the shared tree (the N of the idf term). Score
   /// normalization needs it; the owner refreshes it as the tree grows.
@@ -117,12 +121,16 @@ class SegmentedIndex : public TermSource {
   uint64_t PlanWatermark() const override { return Pin()->version(); }
 
  private:
-  /// Installs a new head built from `sealed` + `memtable` +
+  /// Installs a new head built from `state` + `memtable` +
   /// `corpus_nodes` and refreshes the index.segments gauge. Caller holds
   /// mu_.
-  void PublishLocked(
-      std::vector<std::shared_ptr<const SealedSegment>> sealed,
-      std::shared_ptr<const JDeweyIndex> memtable, uint64_t corpus_nodes);
+  void PublishLocked(std::shared_ptr<const SealedSetState> state,
+                     std::shared_ptr<const JDeweyIndex> memtable,
+                     uint64_t corpus_nodes);
+  /// Publishes a changed sealed list (with a new sealed-set state) under
+  /// the head's memtable and node count. Caller holds mu_.
+  void PublishSealedLocked(
+      std::vector<std::shared_ptr<const SealedSegment>> sealed);
 
   mutable std::mutex mu_;
   std::shared_ptr<const SegmentSetVersion> head_;

@@ -87,11 +87,231 @@ uint32_t SealedSegment::max_level() const {
   return memory_ != nullptr ? memory_->max_level() : env_->max_level();
 }
 
+namespace {
+
+/// Max tf of a raw-tf list.
+uint32_t MaxTf(const JDeweyList& list) {
+  uint32_t max_tf = 0;
+  for (float tf : list.scores) {
+    max_tf = std::max(max_tf, static_cast<uint32_t>(tf));
+  }
+  return max_tf;
+}
+
+}  // namespace
+
+SealedSetState::SealedSetState(
+    std::vector<std::shared_ptr<const SealedSegment>> sealed)
+    : sealed_(std::move(sealed)) {}
+
+void SealedSetState::LoadTermsLocked() const {
+  if (terms_loaded_) return;
+  terms_loaded_ = true;
+  // K-way merge of the sorted manifests: one entry per distinct term.
+  std::vector<size_t> pos(sealed_.size(), 0);
+  size_t total = 0;
+  for (const auto& seg : sealed_) total += seg->manifest().terms.size();
+  terms_.reserve(total);
+  for (;;) {
+    const std::string* least = nullptr;
+    for (size_t i = 0; i < sealed_.size(); ++i) {
+      const auto& terms = sealed_[i]->manifest().terms;
+      if (pos[i] < terms.size() &&
+          (least == nullptr || terms[pos[i]].term < *least)) {
+        least = &terms[pos[i]].term;
+      }
+    }
+    if (least == nullptr) break;
+    TermEntry entry;
+    entry.term = least;
+    for (size_t i = 0; i < sealed_.size(); ++i) {
+      const auto& terms = sealed_[i]->manifest().terms;
+      if (pos[i] < terms.size() && terms[pos[i]].term == *least) {
+        entry.df += terms[pos[i]].rows;
+        entry.max_tf = std::max(entry.max_tf, terms[pos[i]].max_tf);
+        ++pos[i];
+      }
+    }
+    terms_.push_back(entry);
+  }
+
+  // The frontier: terms grouped by max tf, each group in df order.
+  std::vector<uint32_t> order(terms_.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (terms_[a].max_tf != terms_[b].max_tf) {
+      return terms_[a].max_tf < terms_[b].max_tf;
+    }
+    return terms_[a].df < terms_[b].df;
+  });
+  for (uint32_t i : order) {
+    if (frontier_.empty() || frontier_.back().first != terms_[i].max_tf) {
+      frontier_.emplace_back(terms_[i].max_tf, std::vector<uint32_t>{});
+    }
+    frontier_.back().second.push_back(i);
+  }
+}
+
+const SealedSetState::TermEntry* SealedSetState::FindLocked(
+    const std::string& term) const {
+  LoadTermsLocked();
+  auto it = std::lower_bound(
+      terms_.begin(), terms_.end(), term,
+      [](const TermEntry& e, const std::string& t) { return *e.term < t; });
+  return it != terms_.end() && *it->term == term ? &*it : nullptr;
+}
+
+SealedSetState::TermGlobal SealedSetState::Global(
+    const std::string& term, const JDeweyList* memtable_list) const {
+  TermGlobal global;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const TermEntry* entry = FindLocked(term);
+    if (entry != nullptr) {
+      global.df = entry->df;
+      global.max_tf = entry->max_tf;
+    }
+  }
+  if (memtable_list != nullptr) {
+    global.df += memtable_list->num_rows();
+    global.max_tf = std::max(global.max_tf, MaxTf(*memtable_list));
+  }
+  return global;
+}
+
+double SealedSetState::MaxRaw(const JDeweyIndex* memtable,
+                              uint64_t corpus_nodes) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  LoadTermsLocked();
+  // RawLocalScore is monotone in tf for a fixed df, so each term's max
+  // raw score is attained at its max tf, and the normalizer is the max
+  // over terms — exactly the max a monolithic build takes over every
+  // occurrence. Terms the memtable holds take their corpus-wide df and
+  // max tf...
+  double max_raw = 0.0;
+  if (memtable != nullptr) {
+    // Successive memtables of one sealed set share most of their terms,
+    // so each term's sealed figures are searched for once and kept.
+    const auto& terms = memtable->terms();
+    const auto& lists = memtable->lists();
+    for (size_t t = 0; t < terms.size(); ++t) {
+      auto [seen, inserted] = memtable_terms_.try_emplace(terms[t]);
+      if (inserted) {
+        const TermEntry* entry = FindLocked(terms[t]);
+        if (entry != nullptr) seen->second = {entry->df, entry->max_tf};
+      }
+      uint64_t df = lists[t].num_rows() + seen->second.df;
+      uint32_t max_tf = std::max(MaxTf(lists[t]), seen->second.max_tf);
+      max_raw = std::max(max_raw, RawLocalScore(max_tf, df, corpus_nodes));
+    }
+  }
+  // ...the others their sealed ones. RawLocalScore is also non-increasing
+  // in df for a fixed tf, even in floating point (distinct integer dfs
+  // put log's arguments far more than an ulp apart), so per max tf only
+  // the least-df term the memtable does not hold can reach the max.
+  for (const auto& [max_tf, by_df] : frontier_) {
+    for (uint32_t i : by_df) {
+      const TermEntry& entry = terms_[i];
+      if (memtable != nullptr && memtable->Frequency(*entry.term) > 0) {
+        continue;
+      }
+      max_raw = std::max(max_raw,
+                         RawLocalScore(max_tf, entry.df, corpus_nodes));
+      break;
+    }
+  }
+  return max_raw > 0.0 ? max_raw : 1.0;
+}
+
+StatusOr<const JDeweyList*> SealedSetState::MergedList(
+    const std::string& term, size_t* fanout) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto cached = lists_.find(term);
+  if (cached != lists_.end()) {
+    *fanout = cached->second.fanout;
+    return &cached->second.list;
+  }
+
+  // Disk parts load through sessions that live only for this merge: the
+  // merged list is what stays cached, so a session's own copy of each
+  // loaded list would only be a second one.
+  std::vector<std::unique_ptr<DiskJDeweyIndex>> sessions;
+  std::vector<const JDeweyList*> parts;
+  MergedTerm merged;
+  for (const auto& seg : sealed_) {
+    if (seg->FindTerm(term) == nullptr) continue;
+    ++merged.fanout;
+    if (seg->is_memory()) {
+      const JDeweyList* list = seg->memory()->GetList(term);
+      if (list != nullptr) parts.push_back(list);
+    } else {
+      sessions.push_back(seg->env()->NewSession());
+      StatusOr<const JDeweyList*> loaded = sessions.back()->LoadList(
+          term, UINT32_MAX, /*need_scores=*/true, /*level_bounds=*/nullptr);
+      if (!loaded.ok()) return loaded.status();
+      if (*loaded != nullptr) parts.push_back(*loaded);
+    }
+  }
+  *fanout = merged.fanout;
+  if (parts.empty()) return static_cast<const JDeweyList*>(nullptr);
+  merged.list = MergeJDeweyParts(parts);
+  sessions.clear();
+
+  // Rows that came from disk segments carry no NodeId; the (level, value)
+  // mapping recovers them. A row's own-level value is the run of that
+  // level's column holding the row, and rows ascend, so one cursor per
+  // level finds it without a search.
+  JDeweyList& list = merged.list;
+  std::vector<size_t> at(list.columns.size(), 0);
+  for (uint32_t row = 0; row < list.num_rows(); ++row) {
+    if (list.nodes[row] != kInvalidNode) continue;
+    uint16_t level = list.lengths[row];
+    const std::vector<Run>& runs = list.columns[level - 1].runs();
+    size_t& i = at[level - 1];
+    while (runs[i].end_row() <= row) ++i;
+    list.nodes[row] = NodeAt(level, runs[i].value);
+  }
+
+  XTOPK_COUNTER("index.sealed_list_merges").Add(1);
+  auto [it, inserted] = lists_.emplace(term, std::move(merged));
+  (void)inserted;
+  return &it->second.list;
+}
+
+const TermStats& SealedSetState::SealedStats(const std::string& term) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto cached = stats_.find(term);
+  if (cached != stats_.end()) return cached->second;
+  TermStats merged;
+  for (const auto& seg : sealed_) {
+    const SegmentTermStats* t = seg->FindTerm(term);
+    if (t == nullptr || t->rows == 0) continue;
+    merged.Merge(*t, kMergedStatsBuckets);
+  }
+  return stats_.emplace(term, std::move(merged)).first->second;
+}
+
+NodeId SealedSetState::NodeAt(uint32_t level, uint32_t value) const {
+  for (const auto& seg : sealed_) {
+    NodeId node = seg->NodeAt(level, value);
+    if (node != kInvalidNode) return node;
+  }
+  return kInvalidNode;
+}
+
+uint32_t SealedSetState::max_level() const {
+  uint32_t deepest = 0;
+  for (const auto& seg : sealed_) {
+    deepest = std::max(deepest, seg->max_level());
+  }
+  return deepest;
+}
+
 SegmentSetVersion::SegmentSetVersion(
-    uint64_t version, std::vector<std::shared_ptr<const SealedSegment>> sealed,
+    uint64_t version, std::shared_ptr<const SealedSetState> state,
     std::shared_ptr<const JDeweyIndex> memtable, uint64_t corpus_nodes)
     : version_(version),
-      sealed_(std::move(sealed)),
+      state_(std::move(state)),
       memtable_(std::move(memtable)),
       corpus_nodes_(corpus_nodes) {
   XTOPK_GAUGE("index.segment_versions_live").Add(1);
@@ -103,7 +323,7 @@ SegmentSetVersion::~SegmentSetVersion() {
 
 uint32_t SegmentSetVersion::Frequency(const std::string& term) const {
   uint64_t total = 0;
-  for (const auto& seg : sealed_) {
+  for (const auto& seg : sealed()) {
     const SegmentTermStats* t = seg->FindTerm(term);
     if (t != nullptr) total += t->rows;
   }
@@ -113,7 +333,7 @@ uint32_t SegmentSetVersion::Frequency(const std::string& term) const {
 
 uint32_t SegmentSetVersion::MaxLength(const std::string& term) const {
   uint32_t deepest = 0;
-  for (const auto& seg : sealed_) {
+  for (const auto& seg : sealed()) {
     if (seg->FindTerm(term) == nullptr) continue;
     deepest = std::max(deepest, seg->MaxLengthOf(term));
   }
@@ -125,27 +345,24 @@ uint32_t SegmentSetVersion::MaxLength(const std::string& term) const {
 }
 
 const TermStats* SegmentSetVersion::Stats(const std::string& term) const {
+  const TermStats& sealed = state_->SealedStats(term);
+  if (memtable_ == nullptr || memtable_->Frequency(term) == 0) {
+    return sealed.rows == 0 ? nullptr : &sealed;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   auto cached = stats_cache_.find(term);
   if (cached != stats_cache_.end()) {
     return cached->second.rows == 0 ? nullptr : &cached->second;
   }
 
-  TermStats merged;
-  for (const auto& seg : sealed_) {
-    const SegmentTermStats* t = seg->FindTerm(term);
-    if (t == nullptr || t->rows == 0) continue;
-    merged.Merge(*t, kMergedStatsBuckets);
-  }
-  if (memtable_ != nullptr && memtable_->Frequency(term) > 0) {
-    const TermStats* mt = memtable_->StatsOf(term);
-    if (mt != nullptr) {
-      merged.Merge(*mt, kMergedStatsBuckets);
-    } else {
-      TermStats part;
-      part.rows = memtable_->Frequency(term);
-      merged.Merge(part, kMergedStatsBuckets);
-    }
+  TermStats merged = sealed;
+  const TermStats* mt = memtable_->StatsOf(term);
+  if (mt != nullptr) {
+    merged.Merge(*mt, kMergedStatsBuckets);
+  } else {
+    TermStats part;
+    part.rows = memtable_->Frequency(term);
+    merged.Merge(part, kMergedStatsBuckets);
   }
   auto [it, inserted] = stats_cache_.emplace(term, std::move(merged));
   (void)inserted;
@@ -157,84 +374,12 @@ NodeId SegmentSetVersion::NodeAt(uint32_t level, uint32_t value) const {
     NodeId node = memtable_->NodeAt(level, value);
     if (node != kInvalidNode) return node;
   }
-  for (const auto& seg : sealed_) {
-    NodeId node = seg->NodeAt(level, value);
-    if (node != kInvalidNode) return node;
-  }
-  return kInvalidNode;
+  return state_->NodeAt(level, value);
 }
 
 uint32_t SegmentSetVersion::max_level() const {
   uint32_t deepest = memtable_ != nullptr ? memtable_->max_level() : 0;
-  for (const auto& seg : sealed_) {
-    deepest = std::max(deepest, seg->max_level());
-  }
-  return deepest;
-}
-
-void SegmentSetVersion::RefreshGlobalsLocked() const {
-  if (globals_ready_) return;
-  globals_.clear();
-  for (const auto& seg : sealed_) {
-    for (const SegmentTermStats& t : seg->manifest().terms) {
-      TermGlobal& g = globals_[t.term];
-      g.df += t.rows;
-      g.max_tf = std::max(g.max_tf, t.max_tf);
-    }
-  }
-  if (memtable_ != nullptr) {
-    const auto& terms = memtable_->terms();
-    const auto& lists = memtable_->lists();
-    for (size_t t = 0; t < terms.size(); ++t) {
-      TermGlobal& g = globals_[terms[t]];
-      g.df += lists[t].num_rows();
-      for (float tf : lists[t].scores) {
-        g.max_tf = std::max(g.max_tf, static_cast<uint32_t>(tf));
-      }
-    }
-  }
-  // The corpus-wide normalizer: RawLocalScore is monotone in tf for a
-  // fixed df, so each term's max raw score is attained at its max tf and
-  // the global max is the max over terms — exactly the max a monolithic
-  // build takes over every occurrence.
-  max_raw_ = 0.0;
-  for (const auto& [term, g] : globals_) {
-    max_raw_ =
-        std::max(max_raw_, RawLocalScore(g.max_tf, g.df, corpus_nodes_));
-  }
-  if (max_raw_ <= 0.0) max_raw_ = 1.0;
-  globals_ready_ = true;
-}
-
-Status SegmentSetVersion::CollectPartsLocked(
-    const std::string& term, std::vector<const JDeweyList*>* parts) const {
-  if (sessions_.size() < sealed_.size()) sessions_.resize(sealed_.size());
-  size_t fanout = 0;
-  for (size_t i = 0; i < sealed_.size(); ++i) {
-    const SealedSegment& seg = *sealed_[i];
-    if (seg.FindTerm(term) == nullptr) continue;
-    ++fanout;
-    if (seg.is_memory()) {
-      const JDeweyList* list = seg.memory()->GetList(term);
-      if (list != nullptr) parts->push_back(list);
-    } else {
-      if (sessions_[i] == nullptr) sessions_[i] = seg.env()->NewSession();
-      StatusOr<const JDeweyList*> loaded =
-          sessions_[i]->LoadList(term, UINT32_MAX, /*need_scores=*/true,
-                                 /*level_bounds=*/nullptr);
-      if (!loaded.ok()) return loaded.status();
-      if (*loaded != nullptr) parts->push_back(*loaded);
-    }
-  }
-  if (memtable_ != nullptr) {
-    const JDeweyList* list = memtable_->GetList(term);
-    if (list != nullptr) {
-      parts->push_back(list);
-      ++fanout;
-    }
-  }
-  XTOPK_COUNTER("core.join.segment_fanout").Add(fanout);
-  return Status::Ok();
+  return std::max(deepest, state_->max_level());
 }
 
 StatusOr<const JDeweyList*> SegmentSetVersion::Resolve(
@@ -242,27 +387,42 @@ StatusOr<const JDeweyList*> SegmentSetVersion::Resolve(
   std::lock_guard<std::mutex> lock(mu_);
   auto cached = cache_.find(term);
   if (cached != cache_.end()) return &cached->second;
-  if (Frequency(term) == 0) return static_cast<const JDeweyList*>(nullptr);
 
-  RefreshGlobalsLocked();
+  size_t fanout = 0;
+  StatusOr<const JDeweyList*> sealed = state_->MergedList(term, &fanout);
+  if (!sealed.ok()) return sealed.status();
+  const JDeweyList* mem =
+      memtable_ != nullptr ? memtable_->GetList(term) : nullptr;
+  if (mem != nullptr) ++fanout;
+  XTOPK_COUNTER("core.join.segment_fanout").Add(fanout);
+  if (*sealed == nullptr && mem == nullptr) {
+    return static_cast<const JDeweyList*>(nullptr);
+  }
   std::vector<const JDeweyList*> parts;
-  Status s = CollectPartsLocked(term, &parts);
-  if (!s.ok()) return s;
+  if (*sealed != nullptr) parts.push_back(*sealed);
+  if (mem != nullptr) parts.push_back(mem);
   JDeweyList merged = MergeJDeweyParts(parts);
 
-  // tf -> normalized tf·idf, with the corpus-global df and normalizer.
-  const TermGlobal& global = globals_.at(term);
-  for (uint32_t row = 0; row < merged.num_rows(); ++row) {
-    uint32_t tf = static_cast<uint32_t>(merged.scores[row]);
-    double raw = RawLocalScore(tf, global.df, corpus_nodes_);
-    merged.scores[row] = static_cast<float>(raw / max_raw_);
+  // tf -> normalized tf·idf with the corpus-global df and normalizer, one
+  // RawLocalScore per distinct tf.
+  if (max_raw_ == 0.0) {
+    max_raw_ = state_->MaxRaw(memtable_.get(), corpus_nodes_);
   }
-  // Rows that came from disk segments carry no NodeId; the (level, value)
-  // mapping recovers them.
-  for (uint32_t row = 0; row < merged.num_rows(); ++row) {
-    if (merged.nodes[row] != kInvalidNode) continue;
-    JDeweySeq seq = merged.SequenceOf(row);
-    merged.nodes[row] = NodeAt(merged.lengths[row], seq.back());
+  const SealedSetState::TermGlobal global = state_->Global(term, mem);
+  std::vector<float> score_of(global.max_tf + 1);
+  std::vector<char> known(global.max_tf + 1, 0);
+  for (float& score : merged.scores) {
+    uint32_t tf = static_cast<uint32_t>(score);
+    if (tf >= known.size()) {  // a manifest max tf below a stored tf
+      score_of.resize(tf + 1);
+      known.resize(tf + 1, 0);
+    }
+    if (!known[tf]) {
+      double raw = RawLocalScore(tf, global.df, corpus_nodes_);
+      score_of[tf] = static_cast<float>(raw / max_raw_);
+      known[tf] = 1;
+    }
+    score = score_of[tf];
   }
 
   auto [it, inserted] = cache_.emplace(term, std::move(merged));
@@ -270,45 +430,157 @@ StatusOr<const JDeweyList*> SegmentSetVersion::Resolve(
   return &it->second;
 }
 
-JDeweyList MergeJDeweyParts(const std::vector<const JDeweyList*>& parts) {
-  struct RowRef {
-    const JDeweyList* list = nullptr;
-    uint32_t row = 0;
-    JDeweySeq seq;
-  };
-  size_t total = 0;
-  for (const JDeweyList* part : parts) total += part->num_rows();
-  std::vector<RowRef> rows;
-  rows.reserve(total);
-  for (const JDeweyList* part : parts) {
-    for (uint32_t r = 0; r < part->num_rows(); ++r) {
-      rows.push_back(RowRef{part, r, part->SequenceOf(r)});
+namespace {
+
+/// One input of MergeJDeweyParts, read in row order. `row` is the first
+/// row not yet copied. Two sets of per-level run positions move forward
+/// only: `cmp_at_` for reading a row's components while ordering heads,
+/// `copy_at_` for copying runs, so each crosses every run once.
+class MergeInput {
+ public:
+  explicit MergeInput(const JDeweyList* list)
+      : list_(list),
+        cmp_at_(list->columns.size(), 0),
+        copy_at_(list->columns.size(), 0) {}
+
+  uint32_t rows() const { return list_->num_rows(); }
+  bool done() const { return row == rows(); }
+
+  /// Whether row `r` of this input sorts before `other`'s next row.
+  /// Neither input may be asked about an earlier row afterwards.
+  bool RowBefore(uint32_t r, MergeInput& other) {
+    uint32_t len = list_->lengths[r];
+    uint32_t other_len = other.list_->lengths[other.row];
+    uint32_t n = std::min(len, other_len);
+    for (uint32_t level = 1; level <= n; ++level) {
+      uint32_t a = Component(r, level);
+      uint32_t b = other.Component(other.row, level);
+      if (a != b) return a < b;
+    }
+    return len < other_len;
+  }
+
+  /// Whether this input's last row sorts before `other`'s next row: then
+  /// everything left here precedes everything left there.
+  bool LastBefore(MergeInput& other) {
+    uint32_t len = list_->lengths[rows() - 1];
+    uint32_t other_len = other.list_->lengths[other.row];
+    uint32_t n = std::min(len, other_len);
+    for (uint32_t level = 1; level <= n; ++level) {
+      // The last row is in the last run of every column it reaches.
+      uint32_t a = list_->columns[level - 1].runs().back().value;
+      uint32_t b = other.Component(other.row, level);
+      if (a != b) return a < b;
+    }
+    return len < other_len;
+  }
+
+  /// Copies rows [begin, end) to rows [out, out + end - begin) of
+  /// `merged`, clipping the runs that cross either end; AppendRun
+  /// coalesces runs that meet at a seam.
+  void CopyRows(uint32_t begin, uint32_t end, uint32_t out,
+                JDeweyList* merged) {
+    std::copy(list_->lengths.begin() + begin, list_->lengths.begin() + end,
+              merged->lengths.begin() + out);
+    std::copy(list_->scores.begin() + begin, list_->scores.begin() + end,
+              merged->scores.begin() + out);
+    uint32_t with_nodes =
+        std::min(end, static_cast<uint32_t>(list_->nodes.size()));
+    if (begin < with_nodes) {
+      std::copy(list_->nodes.begin() + begin,
+                list_->nodes.begin() + with_nodes,
+                merged->nodes.begin() + out);
+    }
+    for (size_t l = 0; l < list_->columns.size(); ++l) {
+      const std::vector<Run>& runs = list_->columns[l].runs();
+      size_t& i = copy_at_[l];
+      while (i < runs.size() && runs[i].end_row() <= begin) ++i;
+      Column& column = merged->columns[l];
+      for (size_t j = i; j < runs.size() && runs[j].first_row < end; ++j) {
+        uint32_t first = std::max(runs[j].first_row, begin);
+        uint32_t last = std::min(runs[j].end_row(), end);
+        column.AppendRun(out + (first - begin), runs[j].value, last - first);
+      }
+      while (i < runs.size() && runs[i].end_row() <= end) ++i;
     }
   }
-  // Children cover disjoint node sets, so sequences are pairwise distinct
-  // and the comparison is a strict weak order.
-  std::sort(rows.begin(), rows.end(), [](const RowRef& a, const RowRef& b) {
-    return CompareJDewey(a.seq, b.seq) < 0;
-  });
+
+  uint32_t row = 0;
+
+ private:
+  /// S_r(level) for level <= lengths[r].
+  uint32_t Component(uint32_t r, uint32_t level) {
+    const std::vector<Run>& runs = list_->columns[level - 1].runs();
+    size_t& i = cmp_at_[level - 1];
+    while (runs[i].end_row() <= r) ++i;
+    return runs[i].value;
+  }
+
+  const JDeweyList* list_;
+  std::vector<size_t> cmp_at_;
+  std::vector<size_t> copy_at_;
+};
+
+}  // namespace
+
+JDeweyList MergeJDeweyParts(const std::vector<const JDeweyList*>& parts) {
+  std::vector<MergeInput> inputs;
+  inputs.reserve(parts.size());
+  size_t total = 0;
+  size_t levels = 0;
+  for (const JDeweyList* part : parts) {
+    if (part->num_rows() == 0) continue;
+    inputs.emplace_back(part);
+    total += part->num_rows();
+    levels = std::max(levels, part->columns.size());
+  }
 
   JDeweyList merged;
   merged.lengths.resize(total);
   merged.scores.resize(total);
-  merged.nodes.resize(total, kInvalidNode);
-  for (uint32_t i = 0; i < total; ++i) {
-    const RowRef& ref = rows[i];
-    uint16_t len = ref.list->lengths[ref.row];
-    merged.lengths[i] = len;
-    merged.scores[i] = ref.list->scores[ref.row];
-    if (ref.row < ref.list->nodes.size()) {
-      merged.nodes[i] = ref.list->nodes[ref.row];  // disk lists leave these
+  merged.nodes.assign(total, kInvalidNode);
+  merged.columns.resize(levels);
+  for (size_t l = 0; l < levels; ++l) {
+    size_t runs = 0;
+    for (const JDeweyList* part : parts) {
+      if (l < part->columns.size()) runs += part->columns[l].run_count();
     }
-    if (len > merged.max_length) merged.max_length = len;
-    if (merged.columns.size() < len) merged.columns.resize(len);
-    for (uint16_t level = 1; level <= len; ++level) {
-      merged.columns[level - 1].Append(i, ref.seq[level - 1]);
-    }
+    merged.columns[l].ReserveRuns(runs);
   }
+
+  // Each step copies the longest stretch of the input with the least
+  // next row that sorts before every other input's next row. Children
+  // cover disjoint node sets, so sequences are pairwise distinct and the
+  // order is strict.
+  uint32_t out = 0;
+  for (;;) {
+    MergeInput* best = nullptr;
+    MergeInput* next = nullptr;
+    for (MergeInput& in : inputs) {
+      if (in.done()) continue;
+      if (best == nullptr || in.RowBefore(in.row, *best)) {
+        next = best;
+        best = &in;
+      } else if (next == nullptr || in.RowBefore(in.row, *next)) {
+        next = &in;
+      }
+    }
+    if (best == nullptr) break;
+    uint32_t begin = best->row;
+    uint32_t end = best->rows();
+    if (next != nullptr && !best->LastBefore(*next)) {
+      end = begin + 1;
+      while (end < best->rows() && best->RowBefore(end, *next)) ++end;
+    }
+    best->CopyRows(begin, end, out, &merged);
+    out += end - begin;
+    best->row = end;
+  }
+
+  for (uint16_t len : merged.lengths) {
+    merged.max_length = std::max<uint32_t>(merged.max_length, len);
+  }
+  merged.columns.resize(merged.max_length);
   return merged;
 }
 

@@ -92,21 +92,111 @@ class SealedSegment {
   mutable std::atomic<bool> superseded_{false};
 };
 
-/// An immutable snapshot of the whole segment set: the sealed list, the
-/// memtable (shared — a later memtable rebuild cannot pull it out from
-/// under a pinned query), and the corpus node count the idf term needs.
-/// Queries pin one version for their entire lifetime, so the segment list
-/// can never mutate mid-query; SegmentedIndex publishes a fresh version
-/// for every mutation.
+/// What every version over one sealed list shares (DESIGN.md §10, §17).
+/// SegmentedIndex creates one per sealed list — a seal, compaction,
+/// Clear or AddMemorySegment starts a new one — and hands it on to every
+/// version that only swaps the memtable or the corpus node count, so the
+/// work below is done once per sealed set instead of once per version.
+/// It dies with the last version over its sealed set.
 ///
-/// Merged-list / statistics caches live per version behind an internal
-/// mutex (several in-flight queries may share one pin). Cached pointers
-/// are node-stable and valid for the version's lifetime — the version is
-/// immutable, so they are never invalidated.
+/// Everything is filled lazily behind one internal mutex: the sealed
+/// per-term df / max tf (read from the sorted manifests), the exact
+/// max-raw frontier, each queried term's merged sealed list and its
+/// sealed planner statistics. Handed-out pointers are node-stable and
+/// live as long as the state.
+class SealedSetState {
+ public:
+  explicit SealedSetState(
+      std::vector<std::shared_ptr<const SealedSegment>> sealed);
+  SealedSetState(const SealedSetState&) = delete;
+  SealedSetState& operator=(const SealedSetState&) = delete;
+
+  const std::vector<std::shared_ptr<const SealedSegment>>& sealed() const {
+    return sealed_;
+  }
+
+  /// Corpus-wide df (Σ rows) and max tf of `term` over the sealed
+  /// segments plus `memtable` (may be null).
+  struct TermGlobal {
+    uint64_t df = 0;
+    uint32_t max_tf = 0;
+  };
+  TermGlobal Global(const std::string& term,
+                    const JDeweyList* memtable_list) const;
+
+  /// The corpus-wide normalizer of a version over this sealed set plus
+  /// `memtable`: the max of RawLocalScore(max_tf, df, corpus_nodes) over
+  /// every term, 1.0 when that is not positive. Exact (the same double a
+  /// scan of every term gives) without visiting the sealed-only terms:
+  /// per distinct sealed max tf, the sealed-only term of least df scores
+  /// highest, so only the first one the memtable does not hold counts.
+  double MaxRaw(const JDeweyIndex* memtable, uint64_t corpus_nodes) const;
+
+  /// `term`'s sealed parts merged into one list (raw tf, every row's
+  /// NodeId filled), or nullptr when no sealed segment holds it. Merged
+  /// once per sealed set (counter `index.sealed_list_merges`). `fanout`
+  /// receives the number of sealed segments holding the term.
+  StatusOr<const JDeweyList*> MergedList(const std::string& term,
+                                         size_t* fanout) const;
+
+  /// The sealed half of `term`'s planner statistics (segments merged in
+  /// order); rows == 0 when no sealed segment holds it.
+  const TermStats& SealedStats(const std::string& term) const;
+
+  NodeId NodeAt(uint32_t level, uint32_t value) const;
+  uint32_t max_level() const;
+
+ private:
+  /// One term of the sealed set: summed rows, max tf, and the manifest
+  /// string it was read from (alive as long as sealed_).
+  struct TermEntry {
+    const std::string* term = nullptr;
+    uint64_t df = 0;
+    uint32_t max_tf = 0;
+  };
+
+  /// Fills terms_ and frontier_ on first use. Caller holds mu_.
+  void LoadTermsLocked() const;
+  const TermEntry* FindLocked(const std::string& term) const;
+
+  const std::vector<std::shared_ptr<const SealedSegment>> sealed_;
+
+  mutable std::mutex mu_;
+  mutable bool terms_loaded_ = false;
+  /// Every sealed term, sorted by term (a k-way merge of the manifests).
+  mutable std::vector<TermEntry> terms_;
+  /// Per distinct max tf, ascending: the terms_ indices of that max tf in
+  /// ascending df order.
+  mutable std::vector<std::pair<uint32_t, std::vector<uint32_t>>> frontier_;
+  /// Sealed df / max tf of the terms a memtable over this set has held
+  /// (zeros when no sealed segment holds the term).
+  mutable std::unordered_map<std::string, TermGlobal> memtable_terms_;
+  struct MergedTerm {
+    JDeweyList list;
+    size_t fanout = 0;
+  };
+  /// Merged sealed lists; node-based map, so handed-out pointers stay
+  /// stable.
+  mutable std::unordered_map<std::string, MergedTerm> lists_;
+  mutable std::unordered_map<std::string, TermStats> stats_;
+};
+
+/// An immutable snapshot of the whole segment set: the sealed set's
+/// shared state, the memtable (shared — a later memtable rebuild cannot
+/// pull it out from under a pinned query), and the corpus node count the
+/// idf term needs. Queries pin one version for their entire lifetime, so
+/// the segment list can never mutate mid-query; SegmentedIndex publishes
+/// a fresh version for every mutation.
+///
+/// A version owns only what depends on its memtable or its node count:
+/// the normalizer and each resolved term's list (the sealed set's merged
+/// list ⊕ the memtable's, rescored). Those caches live behind an
+/// internal mutex (several in-flight queries may share one pin); cached
+/// pointers are node-stable and valid for the version's lifetime.
 class SegmentSetVersion {
  public:
   SegmentSetVersion(uint64_t version,
-                    std::vector<std::shared_ptr<const SealedSegment>> sealed,
+                    std::shared_ptr<const SealedSetState> sealed,
                     std::shared_ptr<const JDeweyIndex> memtable,
                     uint64_t corpus_nodes);
   ~SegmentSetVersion();
@@ -115,7 +205,10 @@ class SegmentSetVersion {
 
   uint64_t version() const { return version_; }
   const std::vector<std::shared_ptr<const SealedSegment>>& sealed() const {
-    return sealed_;
+    return state_->sealed();
+  }
+  const std::shared_ptr<const SealedSetState>& state() const {
+    return state_;
   }
   const JDeweyIndex* memtable() const { return memtable_.get(); }
   const std::shared_ptr<const JDeweyIndex>& memtable_ref() const {
@@ -124,7 +217,7 @@ class SegmentSetVersion {
   uint64_t corpus_nodes() const { return corpus_nodes_; }
 
   /// TermSource-shaped reads (segment.h documents the merge/normalization
-  /// semantics; they are unchanged, only the ownership moved here).
+  /// semantics).
   uint32_t Frequency(const std::string& term) const;
   uint32_t MaxLength(const std::string& term) const;
   StatusOr<const JDeweyList*> Resolve(const std::string& term) const;
@@ -133,34 +226,18 @@ class SegmentSetVersion {
   const TermStats* Stats(const std::string& term) const;
 
  private:
-  struct TermGlobal {
-    uint64_t df = 0;
-    uint32_t max_tf = 0;
-  };
-
-  /// Rebuilds globals_ / max_raw_ once per version. Caller holds mu_.
-  void RefreshGlobalsLocked() const;
-  /// All children's lists holding `term` (loads disk lists through this
-  /// version's private sessions). Caller holds mu_.
-  Status CollectPartsLocked(const std::string& term,
-                            std::vector<const JDeweyList*>* parts) const;
-
   const uint64_t version_;
-  const std::vector<std::shared_ptr<const SealedSegment>> sealed_;
+  const std::shared_ptr<const SealedSetState> state_;
   const std::shared_ptr<const JDeweyIndex> memtable_;
   const uint64_t corpus_nodes_;
 
   mutable std::mutex mu_;
-  /// Lazily created disk sessions, parallel to sealed_ (sessions are
-  /// single-threaded, so each version keeps its own under mu_).
-  mutable std::vector<std::unique_ptr<DiskJDeweyIndex>> sessions_;
-  mutable bool globals_ready_ = false;
-  mutable std::unordered_map<std::string, TermGlobal> globals_;
-  mutable double max_raw_ = 1.0;
+  mutable double max_raw_ = 0.0;  ///< 0 until first needed
   /// Merged + normalized lists; node-based map, so handed-out pointers
   /// stay stable.
   mutable std::unordered_map<std::string, JDeweyList> cache_;
-  /// Merged planner statistics; rows == 0 memoizes "term absent".
+  /// Planner statistics of terms the memtable holds (the others are the
+  /// sealed set's own); rows == 0 memoizes "term absent".
   mutable std::unordered_map<std::string, TermStats> stats_cache_;
 };
 
@@ -203,8 +280,13 @@ class SegmentSetReader : public TermSource {
 };
 
 /// K-way merge of per-segment rows of one term by JDewey sequence into a
-/// single list (raw scores copied through untouched). The parts must
-/// cover disjoint node sets of one tree under one encoding.
+/// single list (raw scores and NodeIds copied through untouched; rows
+/// without a NodeId get kInvalidNode). The parts must cover disjoint
+/// node sets of one tree under one encoding. Streams over per-level run
+/// cursors: a stretch of one part that sorts before every other part's
+/// next row is copied as runs, which coalesce at the seams, so parts
+/// that do not overlap in key range (every seal covers later documents)
+/// cost one pass over their runs.
 JDeweyList MergeJDeweyParts(const std::vector<const JDeweyList*>& parts);
 
 /// Merges `inputs` into one raw-tf JDeweyIndex (term lists k-way merged,

@@ -223,6 +223,76 @@ TEST(DurableEngineTest, CompactIsBitIdenticalAndCounted) {
   std::system(("rm -rf " + dir).c_str());
 }
 
+TEST(DurableEngineTest, CompactReportsAFailedLogAppend) {
+  const std::string dir = TestDir("compact_fault");
+  auto engine = OpenOrDie(dir, TreeAfter(0));
+  for (size_t batch = 0; batch < 2; ++batch) {
+    AddRange(engine.get(), batch * 10, batch * 10 + 10);
+    ASSERT_TRUE(engine->SealMemtable().ok());
+  }
+  ASSERT_EQ(engine->segment_count(), 2u);
+  auto before = RunAllQueries(engine.get());
+
+  // Compact's first log append is its round's kCompactBegin record.
+  auto& injector = FaultInjector::Global();
+  FaultPlan plan;
+  plan.kind = FaultKind::kTransientIoError;
+  plan.site = "manifestlog.append";
+  plan.trigger = 0;
+  injector.SetPlan(plan);
+  const Status failed = engine->Compact();
+  const uint64_t appends = injector.CallCount("manifestlog.append");
+  injector.Clear();
+  EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed.ToString();
+  EXPECT_EQ(appends, 1u);
+  EXPECT_EQ(engine->segment_count(), 2u);
+  ExpectSameHits(RunAllQueries(engine.get()), before, "failed compact");
+
+  // Unarmed, the same call merges; then nothing is left to merge, which
+  // is Ok too.
+  ASSERT_TRUE(engine->Compact().ok());
+  EXPECT_EQ(engine->segment_count(), 1u);
+  EXPECT_TRUE(engine->Compact().ok());
+  ExpectSameHits(RunAllQueries(engine.get()), before, "after compact");
+  engine.reset();
+  std::system(("rm -rf " + dir).c_str());
+}
+
+TEST(DurableEngineTest, SealedListsMergeOncePerSealedSet) {
+  const std::string dir = TestDir("sealed_merges");
+  auto engine = OpenOrDie(dir, TreeAfter(0));
+  AddRange(engine.get(), 0, 12);
+  ASSERT_TRUE(engine->SealMemtable().ok());
+  AddRange(engine.get(), 12, 24);
+  ASSERT_TRUE(engine->SealMemtable().ok());
+  auto& merges = obs::MetricsRegistry::Global().GetCounter(
+      "index.sealed_list_merges");
+  const int64_t start = merges.value();
+
+  // Every read follows an ingest, so each runs on a new version — over
+  // the same sealed set, whose merged list of the term is reused.
+  const uint64_t version = engine->plan_watermark();
+  for (size_t i = 0; i < 5; ++i) {
+    AddRange(engine.get(), 24 + i, 25 + i);
+    EXPECT_FALSE(engine->Search({"xml"}).empty());
+  }
+  EXPECT_EQ(engine->plan_watermark(), version + 5);
+  EXPECT_EQ(merges.value(), start + 1);
+
+  // A seal starts a new sealed set: the term merges once more, then is
+  // reused again.
+  ASSERT_TRUE(engine->SealMemtable().ok());
+  EXPECT_FALSE(engine->Search({"xml"}).empty());
+  EXPECT_EQ(merges.value(), start + 2);
+  for (size_t i = 0; i < 3; ++i) {
+    AddRange(engine.get(), 29 + i, 30 + i);
+    EXPECT_FALSE(engine->Search({"xml"}).empty());
+  }
+  EXPECT_EQ(merges.value(), start + 2);
+  engine.reset();
+  std::system(("rm -rf " + dir).c_str());
+}
+
 TEST(DurableEngineTest, BackgroundCompactionConvergesUnderQueries) {
   const std::string dir = TestDir("bg");
   auto engine = OpenOrDie(dir, TreeAfter(0), /*auto_compact=*/true);

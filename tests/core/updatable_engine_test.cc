@@ -44,6 +44,23 @@ TEST(UpdatableEngineTest, MemtableRefreshesAreBatched) {
   EXPECT_EQ(engine.rebuilds(), 0u);            // and nothing was rebuilt
 }
 
+TEST(UpdatableEngineTest, DirtyReadPublishesOneVersion) {
+  UpdatableEngine engine(ParseXmlStringOrDie("<db><p>xml seed</p></db>"));
+  uint64_t version = engine.plan_watermark();
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE("read " + std::to_string(i));
+    engine.AddElement(engine.tree().root(), "p",
+                      "xml word" + std::to_string(i));
+    // The refreshed memtable and the grown node count go out together.
+    EXPECT_FALSE(engine.Search({"xml"}).empty());
+    EXPECT_EQ(engine.plan_watermark(), version + 1);
+    version = engine.plan_watermark();
+    // A clean read publishes nothing.
+    EXPECT_FALSE(engine.SearchTopK({"xml"}, 3).empty());
+    EXPECT_EQ(engine.plan_watermark(), version);
+  }
+}
+
 TEST(UpdatableEngineTest, AppendOnlyWorkloadNeverRebuilds) {
   // With a gap wide enough that the sealed root's reservation is never
   // exhausted, re-encodes only ever move memtable nodes. (Overflowing a

@@ -1,15 +1,20 @@
 // Snapshot isolation of SegmentSetVersion (index/segment_view.h): pinned
 // queries are immune to concurrent publishes, superseded segment files
-// survive exactly as long as the last pin, and the version gauge tracks
-// live snapshots.
+// survive exactly as long as the last pin, the version gauge tracks live
+// snapshots, and readers on many threads share one SealedSetState while
+// the memtable and the sealed set change under them.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/join_search.h"
@@ -19,6 +24,7 @@
 #include "index/segment_view.h"
 #include "obs/metrics.h"
 #include "storage/segment_manifest.h"
+#include "testing/corpus.h"
 #include "xml/jdewey_builder.h"
 #include "xml/xml_parser.h"
 
@@ -228,6 +234,146 @@ TEST(SegmentVersionTest, PublishCompactionAbortsWhenInputsChanged) {
   EXPECT_TRUE(second.PublishCompaction(
       inputs2, SealedSegment::FromMemory(std::move(*merged2), covered2)));
   EXPECT_EQ(second.sealed_count(), 1u);
+}
+
+TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
+  // A random corpus: the first half of the nodes sealed in two disk
+  // segments, the rest arriving through memtables that grow in stages.
+  const testing::CorpusSpec spec = testing::MakeCorpusSpec(7);
+  const XmlTree tree = testing::MakeCorpusTree(spec);
+  IndexBuildOptions options;
+  const JDeweyEncoding enc = JDeweyBuilder::Assign(tree, options.jdewey_gap);
+  const size_t n = tree.node_count();
+  const size_t sealed_end = n / 2;
+
+  std::vector<std::string> paths;
+  for (size_t part = 0; part < 2; ++part) {
+    std::vector<NodeId> nodes;
+    for (size_t id = part * sealed_end / 2; id < (part + 1) * sealed_end / 2;
+         ++id) {
+      nodes.push_back(static_cast<NodeId>(id));
+    }
+    paths.push_back(TempPath("shared_state_seg" + std::to_string(part)));
+    ASSERT_TRUE(DiskIndexWriter::Write(
+                    BuildSegmentIndex(tree, enc, nodes, options),
+                    paths.back(), {}, nodes.size())
+                    .ok());
+  }
+  auto open_sealed = [&](SegmentedIndex* index) {
+    index->SetCorpusNodes(n);
+    for (size_t i = 0; i < paths.size(); ++i) {
+      ASSERT_TRUE(index->AddDiskSegment(paths[i], {}, i + 1).ok());
+    }
+  };
+  constexpr size_t kStages = 4;
+  std::vector<std::shared_ptr<const JDeweyIndex>> stages;
+  for (size_t k = 1; k <= kStages; ++k) {
+    std::vector<NodeId> nodes;
+    for (size_t id = sealed_end; id < sealed_end + (n - sealed_end) * k / kStages;
+         ++id) {
+      nodes.push_back(static_cast<NodeId>(id));
+    }
+    stages.push_back(std::make_shared<const JDeweyIndex>(
+        BuildSegmentIndex(tree, enc, nodes, options)));
+  }
+  std::vector<std::vector<std::string>> queries;
+  std::set<std::string> query_terms;
+  for (size_t i = 0; i + 1 < spec.terms.size() && queries.size() < 6; ++i) {
+    queries.push_back({spec.terms[i], spec.terms[i + 1]});
+    query_terms.insert(spec.terms[i]);
+    query_terms.insert(spec.terms[i + 1]);
+  }
+
+  // Every stage's answers, from an index no other thread touches.
+  std::vector<std::vector<std::vector<SearchResult>>> expected(kStages);
+  {
+    SegmentedIndex reference;
+    open_sealed(&reference);
+    for (size_t k = 0; k < kStages; ++k) {
+      reference.SetMemtable(stages[k], n);
+      for (const auto& q : queries) {
+        expected[k].push_back(RunQuery(reference.Pin(), q));
+      }
+    }
+  }
+
+  SegmentedIndex live;
+  open_sealed(&live);
+  live.SetMemtable(stages[0], n);
+  auto& merges =
+      obs::MetricsRegistry::Global().GetCounter("index.sealed_list_merges");
+  const int64_t merges_before = merges.value();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      do {
+        std::shared_ptr<const SegmentSetVersion> pin = live.Pin();
+        size_t k = 0;
+        while (k < kStages && pin->memtable() != stages[k].get()) ++k;
+        if (k == kStages) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (size_t q = 0; q < queries.size(); ++q) {
+          std::vector<SearchResult> got = RunQuery(pin, queries[q]);
+          const std::vector<SearchResult>& want = expected[k][q];
+          bool same = got.size() == want.size();
+          for (size_t i = 0; same && i < got.size(); ++i) {
+            same = got[i].node == want[i].node &&
+                   got[i].level == want[i].level &&
+                   got[i].score == want[i].score;
+          }
+          if (!same) mismatches.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      } while (!done.load());
+    });
+  }
+
+  // The writer: memtable publishes carry the sealed set's state along;
+  // one compaction in the middle starts a new one.
+  const std::string compacted = TempPath("shared_state_out");
+  const SealedSetState* first_state = live.Pin()->state().get();
+  const SealedSetState* second_state = nullptr;
+  bool carried = true;
+  Status compact_status;
+  for (size_t round = 0; round < 3; ++round) {
+    for (size_t k = 0; k < kStages; ++k) {
+      if (round == 1 && k == 0) {
+        compact_status = live.Compact(compacted);
+        second_state = live.Pin()->state().get();
+      }
+      live.SetMemtable(stages[k], n);
+      const SealedSetState* now = live.Pin()->state().get();
+      carried = carried &&
+                now == (second_state == nullptr ? first_state : second_state);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  ASSERT_TRUE(compact_status.ok()) << compact_status.ToString();
+  EXPECT_EQ(live.sealed_count(), 1u);
+  EXPECT_NE(second_state, first_state);
+  EXPECT_TRUE(carried) << "a memtable publish replaced the sealed-set state";
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(reads.load(), 4);
+  // Each (sealed set, term) merges at most once: two sealed sets here.
+  EXPECT_GE(merges.value(), merges_before + 1);
+  EXPECT_LE(merges.value(),
+            merges_before + 2 * static_cast<int64_t>(query_terms.size()));
+
+  for (const std::string& path : paths) {
+    std::remove(path.c_str());
+    std::remove((path + ".manifest").c_str());
+  }
+  std::remove(compacted.c_str());
+  std::remove((compacted + ".manifest").c_str());
 }
 
 }  // namespace
