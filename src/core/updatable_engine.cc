@@ -19,15 +19,16 @@ namespace xtopk {
 
 namespace {
 
-uint64_t FileBytes(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
-                                        : 0;
-}
-
 void RemoveSegmentFiles(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".manifest").c_str());
+}
+
+/// The node ids [begin, end).
+std::vector<NodeId> NodeRange(NodeId begin, size_t end) {
+  std::vector<NodeId> nodes(end - begin);
+  std::iota(nodes.begin(), nodes.end(), begin);
+  return nodes;
 }
 
 }  // namespace
@@ -110,6 +111,7 @@ StatusOr<std::unique_ptr<UpdatableEngine>> UpdatableEngine::OpenDurable(
       }
       if (all_open) {
         engine->watermark_ = static_cast<NodeId>(rec.watermark);
+        engine->memtable_upto_ = engine->watermark_;
         engine->enc_id_ = rec.last_seal_id;
         if (reencoded != kInvalidNode && reencoded < engine->watermark_) {
           engine->needs_full_rebuild_ = true;
@@ -170,11 +172,13 @@ NodeId UpdatableEngine::AddElement(NodeId parent, const std::string& tag,
       tree_, node, options_.index.jdewey_gap, &encoding_, &reencoded);
   encoding_updates_ += updates;
   XTOPK_COUNTER("engine.encoding_updates").Add(updates);
-  // A re-encode above the watermark only moved memtable nodes (the next
-  // refresh re-reads their numbers anyway); one below it invalidated
-  // sealed columns.
+  // A re-encode moves the numbers of the subtree it is rooted at: below
+  // the watermark that invalidates sealed columns, below memtable_upto_
+  // the memtable's rows, and above it only nodes no refresh has indexed.
   if (reencoded != kInvalidNode && reencoded < watermark_) {
     needs_full_rebuild_ = true;
+  } else if (reencoded < memtable_upto_) {
+    memtable_upto_ = watermark_;
   }
   memtable_dirty_ = true;
   return node;
@@ -186,6 +190,7 @@ void UpdatableEngine::AppendText(NodeId node, const std::string& text) {
   if (node < watermark_) {
     needs_full_rebuild_ = true;  // sealed rows of this node are stale
   } else {
+    if (node < memtable_upto_) memtable_upto_ = watermark_;  // so are these
     memtable_dirty_ = true;
   }
 }
@@ -238,10 +243,8 @@ void UpdatableEngine::DurableFullRebuild() {
   }
 
   size_t count = tree_.node_count();
-  std::vector<NodeId> nodes(count);
-  std::iota(nodes.begin(), nodes.end(), NodeId{0});
-  JDeweyIndex segment =
-      BuildSegmentIndex(tree_, encoding_, nodes, options_.index);
+  JDeweyIndex segment = BuildSegmentIndex(tree_, encoding_, NodeRange(0, count),
+                                          options_.index);
 
   uint64_t id = next_segment_id_++;
   std::string path = SegmentFilePath(durable_options_.data_dir, id);
@@ -316,14 +319,16 @@ void UpdatableEngine::DurableFullRebuild() {
 
 void UpdatableEngine::RefreshMemtable() {
   size_t count = tree_.node_count();
-  if (watermark_ >= count) {
-    memtable_.reset();
-  } else {
-    std::vector<NodeId> nodes;
-    nodes.reserve(count - watermark_);
-    for (NodeId id = watermark_; id < count; ++id) nodes.push_back(id);
-    memtable_ = std::make_shared<const JDeweyIndex>(
-        BuildSegmentIndex(tree_, encoding_, nodes, options_.index));
+  // The memtable keeps what it indexed unless a mutation moved
+  // memtable_upto_ back to the watermark; then the delta is everything.
+  if (memtable_upto_ == watermark_) memtable_.reset();
+  if (memtable_upto_ < count) {
+    std::vector<NodeId> nodes = NodeRange(memtable_upto_, count);
+    memtable_ = Memtable::Extend(
+        memtable_, BuildSegmentIndex(tree_, encoding_, nodes, options_.index),
+        options_.index.stats_buckets);
+    memtable_upto_ = static_cast<NodeId>(count);
+    XTOPK_COUNTER("index.memtable_nodes_indexed").Add(nodes.size());
   }
   // One version for the new memtable and the grown N together.
   segments_.SetMemtable(memtable_, count);
@@ -352,9 +357,7 @@ void UpdatableEngine::EnsureFresh() {
 
 void UpdatableEngine::SealInMemory() {
   size_t count = tree_.node_count();
-  std::vector<NodeId> nodes;
-  nodes.reserve(count - watermark_);
-  for (NodeId id = watermark_; id < count; ++id) nodes.push_back(id);
+  std::vector<NodeId> nodes = NodeRange(watermark_, count);
   segments_.AddMemorySegment(
       BuildSegmentIndex(tree_, encoding_, nodes, options_.index),
       nodes.size());
@@ -363,6 +366,7 @@ void UpdatableEngine::SealInMemory() {
 
 void UpdatableEngine::SealedUpTo(size_t count) {
   watermark_ = static_cast<NodeId>(count);
+  memtable_upto_ = watermark_;
   memtable_.reset();
   segments_.SetMemtable(nullptr, tree_.node_count());
   memtable_dirty_ = false;
@@ -372,9 +376,7 @@ void UpdatableEngine::SealedUpTo(size_t count) {
 
 Status UpdatableEngine::SealDurableLocked() {
   size_t count = tree_.node_count();
-  std::vector<NodeId> nodes;
-  nodes.reserve(count - watermark_);
-  for (NodeId id = watermark_; id < count; ++id) nodes.push_back(id);
+  std::vector<NodeId> nodes = NodeRange(watermark_, count);
   JDeweyIndex segment =
       BuildSegmentIndex(tree_, encoding_, nodes, options_.index);
 
@@ -543,7 +545,7 @@ Status UpdatableEngine::CompactRound(bool merge_all, bool* published) {
   }
 
   uint64_t duration_us = static_cast<uint64_t>(timer.ElapsedMicros());
-  uint64_t bytes_out = FileBytes(out_path);
+  uint64_t bytes_out = (*output)->data_bytes();
   XTOPK_COUNTER("index.compactions").Add(1);
   XTOPK_COUNTER("index.compaction.runs").Add(1);
   XTOPK_WINDOWED_COUNTER("index.compaction.runs").Add(1);
@@ -567,7 +569,7 @@ uint64_t UpdatableEngine::plan_watermark() {
   // the version bumps at the lazy refresh, so without this a cache keyed
   // on the watermark would serve pre-ingest results after an AddDocument.
   EnsureFresh();
-  return segments_.PlanWatermark();
+  return segments_.version();
 }
 
 std::vector<std::string> UpdatableEngine::Normalize(

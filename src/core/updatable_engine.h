@@ -32,9 +32,10 @@ struct DurableOptions {
 /// maintain the JDewey encoding in place (§III-A: reserved gaps, partial
 /// re-encoding), and the inverted lists are segmented LSM-style
 /// (SegmentedIndex): nodes below a watermark live in immutable sealed
-/// segments, nodes at or above it in a small memtable segment that is
-/// rebuilt lazily before a query. An append-only workload therefore NEVER
-/// rebuilds the full index — only the memtable tail — and `rebuilds()`
+/// segments, nodes at or above it in a small memtable that a query's lazy
+/// refresh extends by the nodes added since the last refresh (DESIGN.md
+/// §10). An append-only workload therefore NEVER rebuilds the full index,
+/// indexes each appended node once until the next seal, and `rebuilds()`
 /// stays 0.
 ///
 /// A full rebuild happens only when sealed data goes stale:
@@ -83,8 +84,8 @@ class UpdatableEngine {
 
   /// Appends text to an existing element. Appending an empty string is a
   /// no-op (nothing to index — the index must NOT go dirty). Text on a
-  /// memtable node only dirties the memtable; text on a sealed node
-  /// forces a full rebuild at the next query.
+  /// memtable node re-indexes the memtable at the next query; text on a
+  /// sealed node forces a full rebuild there.
   void AppendText(NodeId node, const std::string& text);
 
   /// Grafts a copy of `doc` under the root as one <doc name=...> wrapper
@@ -133,7 +134,7 @@ class UpdatableEngine {
   /// FULL index rebuilds (sealed data went stale). 0 on append-only
   /// workloads — the point of the segmented design.
   uint64_t rebuilds() const { return rebuilds_; }
-  /// Lazy memtable (tail segment) rebuilds; not counted as rebuilds.
+  /// Lazy memtable refreshes; not counted as rebuilds.
   uint64_t memtable_refreshes() const { return memtable_refreshes_; }
   bool dirty() const { return memtable_dirty_ || needs_full_rebuild_; }
 
@@ -144,6 +145,11 @@ class UpdatableEngine {
   size_t memtable_docs() const { return memtable_docs_; }
   /// Nodes below this id are covered by sealed segments.
   NodeId watermark() const { return watermark_; }
+  /// The memtable of the last refresh (null when it indexed nothing).
+  /// After a refresh it covers [watermark(), tree().node_count()).
+  const std::shared_ptr<const Memtable>& memtable() const { return memtable_; }
+  /// The maintained JDewey encoding every segment is numbered by.
+  const JDeweyEncoding& encoding() const { return encoding_; }
 
   /// Whether this engine was opened by OpenDurable.
   bool durable() const { return log_ != nullptr; }
@@ -225,10 +231,15 @@ class UpdatableEngine {
   /// version as their watermark, so a seal / compact / ingest silently
   /// invalidates them — no explicit hook needed.
   PlanCache plan_cache_;
-  /// Shared so pinned versions keep a replaced memtable alive until the
-  /// last in-flight query drops it.
-  std::shared_ptr<const JDeweyIndex> memtable_;
+  /// Indexes [watermark_, memtable_upto_). Shared so pinned versions keep
+  /// a replaced memtable alive until the last in-flight query drops it.
+  std::shared_ptr<const Memtable> memtable_;
   NodeId watermark_ = 0;
+  /// Nodes below this id are indexed (sealed or in memtable_); a refresh
+  /// indexes [memtable_upto_, node_count) into a delta. A mutation that
+  /// makes memtable rows stale moves it back to watermark_, so the next
+  /// refresh re-indexes the whole memtable.
+  NodeId memtable_upto_ = 0;
   bool memtable_dirty_ = false;
   bool needs_full_rebuild_ = false;
   uint64_t encoding_updates_ = 0;

@@ -7,18 +7,6 @@
 
 namespace xtopk {
 
-namespace {
-
-/// Wraps a borrowed pointer for the legacy SetMemtable overload: the
-/// caller owns the memtable and keeps it alive across every version that
-/// may still reference it.
-std::shared_ptr<const JDeweyIndex> Borrow(const JDeweyIndex* memtable) {
-  return std::shared_ptr<const JDeweyIndex>(memtable,
-                                            [](const JDeweyIndex*) {});
-}
-
-}  // namespace
-
 SegmentedIndex::SegmentedIndex() {
   head_ = std::make_shared<const SegmentSetVersion>(
       next_version_++, std::make_shared<const SealedSetState>(
@@ -33,7 +21,7 @@ std::shared_ptr<const SegmentSetVersion> SegmentedIndex::Pin() const {
 
 void SegmentedIndex::PublishLocked(
     std::shared_ptr<const SealedSetState> state,
-    std::shared_ptr<const JDeweyIndex> memtable, uint64_t corpus_nodes) {
+    std::shared_ptr<const Memtable> memtable, uint64_t corpus_nodes) {
   size_t sealed_count = state->sealed().size();
   head_ = std::make_shared<const SegmentSetVersion>(
       next_version_++, std::move(state), std::move(memtable), corpus_nodes);
@@ -68,14 +56,7 @@ Status SegmentedIndex::AddDiskSegment(const std::string& path,
   return Status::Ok();
 }
 
-void SegmentedIndex::SetMemtable(const JDeweyIndex* memtable) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PublishLocked(head_->state(),
-                memtable == nullptr ? nullptr : Borrow(memtable),
-                head_->corpus_nodes());
-}
-
-void SegmentedIndex::SetMemtable(std::shared_ptr<const JDeweyIndex> memtable,
+void SegmentedIndex::SetMemtable(std::shared_ptr<const Memtable> memtable,
                                  uint64_t corpus_nodes) {
   std::lock_guard<std::mutex> lock(mu_);
   PublishLocked(head_->state(), std::move(memtable), corpus_nodes);
@@ -117,30 +98,6 @@ bool SegmentedIndex::PublishCompaction(
              list.end());
   PublishSealedLocked(std::move(list));
   return true;
-}
-
-uint32_t SegmentedIndex::Frequency(const std::string& term) const {
-  return Pin()->Frequency(term);
-}
-
-uint32_t SegmentedIndex::MaxLength(const std::string& term) const {
-  return Pin()->MaxLength(term);
-}
-
-const TermStats* SegmentedIndex::Stats(const std::string& term) const {
-  return Pin()->Stats(term);
-}
-
-NodeId SegmentedIndex::NodeAt(uint32_t level, uint32_t value) const {
-  return Pin()->NodeAt(level, value);
-}
-
-uint32_t SegmentedIndex::max_level() const { return Pin()->max_level(); }
-
-StatusOr<const JDeweyList*> SegmentedIndex::Resolve(
-    const std::string& term, uint32_t /*up_to_level*/, bool /*need_scores*/,
-    const std::vector<ValueBounds>* /*level_bounds*/) {
-  return Pin()->Resolve(term);
 }
 
 Status SegmentedIndex::Compact(const std::string& path,

@@ -9,16 +9,15 @@
 
 #include "index/disk_index.h"
 #include "index/jdewey_index.h"
-#include "index/reader.h"
 #include "index/segment_view.h"
 #include "util/status.h"
 
 namespace xtopk {
 
-/// A TermSource over N immutable sealed segments plus one memtable — the
-/// LSM shape incremental indexing wants: inserts only ever touch the
-/// small in-memory tail, sealed segments are written once and never
-/// rewritten (until a compaction folds them into one).
+/// N immutable sealed segments plus one memtable — the LSM shape
+/// incremental indexing wants: inserts only ever touch the small
+/// in-memory tail, sealed segments are written once and never rewritten
+/// (until a compaction folds them into one).
 ///
 /// Since the segment-lifecycle refactor (DESIGN.md §17) this class is a
 /// thread-safe PUBLISHER of immutable SegmentSetVersion snapshots rather
@@ -29,13 +28,9 @@ namespace xtopk {
 /// epoch-style reclamation: a superseded segment's files are deleted when
 /// the last version referencing it drops. The merge and normalization
 /// semantics (bit-identical to a monolithic build) live in
-/// SegmentSetVersion; see segment_view.h.
-///
-/// The TermSource methods read the current head version, so a bare
-/// SegmentedIndex still works as a query backend when no concurrent
-/// publisher exists (the single-writer contract of the pre-refactor
-/// class); concurrent readers must hold their own Pin().
-class SegmentedIndex : public TermSource {
+/// SegmentSetVersion; a query reads a pin through a SegmentSetReader
+/// (segment_view.h).
+class SegmentedIndex {
  public:
   SegmentedIndex();
 
@@ -54,16 +49,12 @@ class SegmentedIndex : public TermSource {
   Status AddDiskSegment(const std::string& path,
                         DiskIndexOptions options = {}, uint64_t id = 0);
 
-  /// Attaches (or detaches, with nullptr) the memtable: a raw-tf segment
-  /// index covering the not-yet-sealed nodes. The raw-pointer overload
-  /// borrows (the caller keeps it alive across every version that may
-  /// still reference it); the shared_ptr overload lets pinned versions
-  /// keep a replaced memtable alive on their own, and publishes the
-  /// corpus node count with it in one version. Either way the new
-  /// version shares the sealed set's state (merged lists, term globals)
-  /// with the old one.
-  void SetMemtable(const JDeweyIndex* memtable);
-  void SetMemtable(std::shared_ptr<const JDeweyIndex> memtable,
+  /// Attaches (or detaches, with nullptr) the memtable, the raw-tf index
+  /// of the not-yet-sealed nodes, and publishes the corpus node count with
+  /// it in one version. Pinned versions keep a replaced memtable alive on
+  /// their own; the new version shares the sealed set's state (merged
+  /// lists, term globals) with the old one.
+  void SetMemtable(std::shared_ptr<const Memtable> memtable,
                    uint64_t corpus_nodes);
 
   /// Total nodes of the shared tree (the N of the idf term). Score
@@ -96,36 +87,16 @@ class SegmentedIndex : public TermSource {
   void Clear();
 
   size_t sealed_count() const { return Pin()->sealed().size(); }
-  bool has_memtable() const { return Pin()->memtable() != nullptr; }
-  uint64_t corpus_nodes() const { return Pin()->corpus_nodes(); }
+  /// The head version's id: any seal / ingest / compact publish bumps it,
+  /// so plans and results cached on it never survive an index mutation.
   uint64_t version() const { return Pin()->version(); }
-
-  // TermSource, reading the current head. Frequency/MaxLength aggregate
-  // manifests (no data I/O); Resolve merges + normalizes (up_to_level and
-  // bounds are ignored — a merged list is always full, which the contract
-  // allows as a superset). Resolved pointers stay valid until the version
-  // that produced them dies, i.e. at least until the next mutation.
-  uint32_t Frequency(const std::string& term) const override;
-  uint32_t MaxLength(const std::string& term) const override;
-  StatusOr<const JDeweyList*> Resolve(
-      const std::string& term, uint32_t up_to_level, bool need_scores,
-      const std::vector<ValueBounds>* level_bounds) override;
-  NodeId NodeAt(uint32_t level, uint32_t value) const override;
-  uint32_t max_level() const override;
-  /// Corpus-global planner statistics for `term`, aggregated from the
-  /// segment manifests + memtable alone — no posting scan (details in
-  /// segment_view.h). The pointer stays valid as long as the version.
-  const TermStats* Stats(const std::string& term) const override;
-  /// Cached plans key on the head version: any seal / ingest / compact
-  /// publish bumps it, so stale plans never survive an index mutation.
-  uint64_t PlanWatermark() const override { return Pin()->version(); }
 
  private:
   /// Installs a new head built from `state` + `memtable` +
   /// `corpus_nodes` and refreshes the index.segments gauge. Caller holds
   /// mu_.
   void PublishLocked(std::shared_ptr<const SealedSetState> state,
-                     std::shared_ptr<const JDeweyIndex> memtable,
+                     std::shared_ptr<const Memtable> memtable,
                      uint64_t corpus_nodes);
   /// Publishes a changed sealed list (with a new sealed-set state) under
   /// the head's memtable and node count. Caller holds mu_.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "index/index_access.h"
@@ -20,37 +19,33 @@ JDeweyIndex BuildSegmentIndex(const XmlTree& tree, const JDeweyEncoding& enc,
   auto* level_nodes = IndexIoAccess::LevelNodes(&index);
   uint32_t* max_level = IndexIoAccess::MaxLevel(&index);
 
+  // An occurrence names its node by slot, the node's position in `nodes`,
+  // so the sequences live in one dense vector and the row sort's
+  // comparisons index it directly.
   struct Occ {
-    NodeId node = kInvalidNode;
+    uint32_t slot = 0;
     uint32_t tf = 0;
   };
   std::vector<std::vector<Occ>> occurrences;
+  std::vector<JDeweySeq> seqs(nodes.size());
 
   Tokenizer tokenizer(options.tokenizer);
-  for (NodeId id : nodes) {
+  for (uint32_t slot = 0; slot < nodes.size(); ++slot) {
+    NodeId id = nodes[slot];
     auto tf_map = tokenizer.TermFrequencies(tree.text(id));
     if (options.index_tag_names) {
       for (const auto& tag_token : tokenizer.Tokenize(tree.TagName(id))) {
         ++tf_map[tag_token];
       }
     }
+    if (tf_map.empty()) continue;
+    // The sequence drives both the row sort and the column fill.
+    seqs[slot] = enc.SequenceOf(tree, id);
     for (const auto& [term, tf] : tf_map) {
       auto [it, inserted] =
           term_ids->emplace(term, static_cast<uint32_t>(occurrences.size()));
       if (inserted) occurrences.emplace_back();
-      occurrences[it->second].push_back(Occ{id, tf});
-    }
-  }
-
-  // The sequences drive both the row sort and the column fill; compute each
-  // covered node's once.
-  std::unordered_map<NodeId, JDeweySeq> seqs;
-  seqs.reserve(nodes.size());
-  for (const auto& occs : occurrences) {
-    for (const Occ& occ : occs) {
-      if (seqs.count(occ.node) == 0) {
-        seqs.emplace(occ.node, enc.SequenceOf(tree, occ.node));
-      }
+      occurrences[it->second].push_back(Occ{slot, tf});
     }
   }
 
@@ -60,22 +55,26 @@ JDeweyIndex BuildSegmentIndex(const XmlTree& tree, const JDeweyEncoding& enc,
   lists->resize(occurrences.size());
   auto* stats = IndexIoAccess::Stats(&index);
   stats->resize(occurrences.size());
+  auto before = [&](const Occ& a, const Occ& b) {
+    return CompareJDewey(seqs[a.slot], seqs[b.slot]) < 0;
+  };
   for (size_t t = 0; t < occurrences.size(); ++t) {
     auto& occs = occurrences[t];
-    std::sort(occs.begin(), occs.end(), [&](const Occ& a, const Occ& b) {
-      return CompareJDewey(seqs.at(a.node), seqs.at(b.node)) < 0;
-    });
+    // Appended nodes usually arrive in sequence order already.
+    if (!std::is_sorted(occs.begin(), occs.end(), before)) {
+      std::sort(occs.begin(), occs.end(), before);
+    }
     JDeweyList& list = (*lists)[t];
     uint32_t rows = static_cast<uint32_t>(occs.size());
     list.scores.resize(rows);
     list.nodes.resize(rows);
     for (uint32_t row = 0; row < rows; ++row) {
       list.scores[row] = static_cast<float>(occs[row].tf);
-      list.nodes[row] = occs[row].node;
+      list.nodes[row] = nodes[occs[row].slot];
     }
     FillColumns(
         rows, [&](uint32_t row) -> const JDeweySeq& {
-          return seqs.at(occs[row].node);
+          return seqs[occs[row].slot];
         },
         &list);
     (*stats)[t] = ComputeListStats(list, options.stats_buckets);

@@ -3,7 +3,10 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
+#include <iterator>
+#include <numeric>
 #include <utility>
 
 #include "core/scoring.h"
@@ -100,6 +103,81 @@ uint32_t MaxTf(const JDeweyList& list) {
 
 }  // namespace
 
+std::shared_ptr<const Memtable> Memtable::Extend(
+    const std::shared_ptr<const Memtable>& predecessor, JDeweyIndex delta,
+    size_t stats_buckets) {
+  auto next = std::make_shared<Memtable>();
+  const Memtable empty;
+  const Memtable& prev = predecessor != nullptr ? *predecessor : empty;
+
+  // The delta's terms in term order, merged with the predecessor's.
+  std::vector<std::string>& terms = *IndexIoAccess::Terms(&delta);
+  std::vector<JDeweyList>& lists = *IndexIoAccess::Lists(&delta);
+  std::vector<TermStats>& stats = *IndexIoAccess::Stats(&delta);
+  assert(stats.size() == lists.size() && "delta built without statistics");
+  std::vector<uint32_t> order(terms.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return terms[a] < terms[b]; });
+  next->terms_.reserve(prev.terms_.size() + order.size());
+  size_t i = 0;
+  for (uint32_t t : order) {
+    while (i < prev.terms_.size() && prev.terms_[i]->term < terms[t]) {
+      next->terms_.push_back(prev.terms_[i++]);
+    }
+    auto entry = std::make_shared<Term>();
+    if (i < prev.terms_.size() && prev.terms_[i]->term == terms[t]) {
+      const Term& had = *prev.terms_[i++];
+      entry->list = MergeJDeweyParts({&had.list, &lists[t]});
+      entry->stats = ComputeListStats(entry->list, stats_buckets);
+      entry->max_tf = std::max(had.max_tf, MaxTf(lists[t]));
+    } else {
+      entry->list = std::move(lists[t]);
+      entry->stats = std::move(stats[t]);
+      entry->max_tf = MaxTf(entry->list);
+    }
+    entry->term = std::move(terms[t]);
+    next->terms_.push_back(std::move(entry));
+  }
+  next->terms_.insert(next->terms_.end(), prev.terms_.begin() + i,
+                      prev.terms_.end());
+
+  // Both node sets' (level, value) -> node pairs; shared ancestors appear
+  // in both with identical pairs.
+  const auto& added = IndexIoAccess::LevelNodes(delta);
+  const std::vector<std::pair<uint32_t, NodeId>> none;
+  next->level_nodes_.resize(
+      std::max(prev.level_nodes_.size(), added.size()));
+  for (size_t l = 0; l < next->level_nodes_.size(); ++l) {
+    const auto& had =
+        l < prev.level_nodes_.size() ? prev.level_nodes_[l] : none;
+    const auto& add = l < added.size() ? added[l] : none;
+    std::set_union(had.begin(), had.end(), add.begin(), add.end(),
+                   std::back_inserter(next->level_nodes_[l]));
+  }
+  return next;
+}
+
+const Memtable::Term* Memtable::Find(const std::string& term) const {
+  auto it = std::lower_bound(
+      terms_.begin(), terms_.end(), term,
+      [](const std::shared_ptr<const Term>& e, const std::string& t) {
+        return e->term < t;
+      });
+  return it != terms_.end() && (*it)->term == term ? it->get() : nullptr;
+}
+
+NodeId Memtable::NodeAt(uint32_t level, uint32_t value) const {
+  if (level == 0 || level > level_nodes_.size()) return kInvalidNode;
+  const auto& nodes = level_nodes_[level - 1];
+  auto it = std::lower_bound(
+      nodes.begin(), nodes.end(), value,
+      [](const std::pair<uint32_t, NodeId>& p, uint32_t v) {
+        return p.first < v;
+      });
+  return it != nodes.end() && it->first == value ? it->second : kInvalidNode;
+}
+
 SealedSetState::SealedSetState(
     std::vector<std::shared_ptr<const SealedSegment>> sealed)
     : sealed_(std::move(sealed)) {}
@@ -162,7 +240,7 @@ const SealedSetState::TermEntry* SealedSetState::FindLocked(
 }
 
 SealedSetState::TermGlobal SealedSetState::Global(
-    const std::string& term, const JDeweyList* memtable_list) const {
+    const std::string& term, const Memtable::Term* memtable_term) const {
   TermGlobal global;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -172,14 +250,14 @@ SealedSetState::TermGlobal SealedSetState::Global(
       global.max_tf = entry->max_tf;
     }
   }
-  if (memtable_list != nullptr) {
-    global.df += memtable_list->num_rows();
-    global.max_tf = std::max(global.max_tf, MaxTf(*memtable_list));
+  if (memtable_term != nullptr) {
+    global.df += memtable_term->list.num_rows();
+    global.max_tf = std::max(global.max_tf, memtable_term->max_tf);
   }
   return global;
 }
 
-double SealedSetState::MaxRaw(const JDeweyIndex* memtable,
+double SealedSetState::MaxRaw(const Memtable* memtable,
                               uint64_t corpus_nodes) const {
   std::lock_guard<std::mutex> lock(mu_);
   LoadTermsLocked();
@@ -192,16 +270,14 @@ double SealedSetState::MaxRaw(const JDeweyIndex* memtable,
   if (memtable != nullptr) {
     // Successive memtables of one sealed set share most of their terms,
     // so each term's sealed figures are searched for once and kept.
-    const auto& terms = memtable->terms();
-    const auto& lists = memtable->lists();
-    for (size_t t = 0; t < terms.size(); ++t) {
-      auto [seen, inserted] = memtable_terms_.try_emplace(terms[t]);
+    for (const auto& term : memtable->terms()) {
+      auto [seen, inserted] = memtable_terms_.try_emplace(term->term);
       if (inserted) {
-        const TermEntry* entry = FindLocked(terms[t]);
+        const TermEntry* entry = FindLocked(term->term);
         if (entry != nullptr) seen->second = {entry->df, entry->max_tf};
       }
-      uint64_t df = lists[t].num_rows() + seen->second.df;
-      uint32_t max_tf = std::max(MaxTf(lists[t]), seen->second.max_tf);
+      uint64_t df = term->list.num_rows() + seen->second.df;
+      uint32_t max_tf = std::max(term->max_tf, seen->second.max_tf);
       max_raw = std::max(max_raw, RawLocalScore(max_tf, df, corpus_nodes));
     }
   }
@@ -212,7 +288,7 @@ double SealedSetState::MaxRaw(const JDeweyIndex* memtable,
   for (const auto& [max_tf, by_df] : frontier_) {
     for (uint32_t i : by_df) {
       const TermEntry& entry = terms_[i];
-      if (memtable != nullptr && memtable->Frequency(*entry.term) > 0) {
+      if (memtable != nullptr && memtable->Find(*entry.term) != nullptr) {
         continue;
       }
       max_raw = std::max(max_raw,
@@ -309,7 +385,7 @@ uint32_t SealedSetState::max_level() const {
 
 SegmentSetVersion::SegmentSetVersion(
     uint64_t version, std::shared_ptr<const SealedSetState> state,
-    std::shared_ptr<const JDeweyIndex> memtable, uint64_t corpus_nodes)
+    std::shared_ptr<const Memtable> memtable, uint64_t corpus_nodes)
     : version_(version),
       state_(std::move(state)),
       memtable_(std::move(memtable)),
@@ -321,13 +397,19 @@ SegmentSetVersion::~SegmentSetVersion() {
   XTOPK_GAUGE("index.segment_versions_live").Add(-1);
 }
 
+const Memtable::Term* SegmentSetVersion::MemtableTerm(
+    const std::string& term) const {
+  return memtable_ != nullptr ? memtable_->Find(term) : nullptr;
+}
+
 uint32_t SegmentSetVersion::Frequency(const std::string& term) const {
   uint64_t total = 0;
   for (const auto& seg : sealed()) {
     const SegmentTermStats* t = seg->FindTerm(term);
     if (t != nullptr) total += t->rows;
   }
-  if (memtable_ != nullptr) total += memtable_->Frequency(term);
+  const Memtable::Term* mem = MemtableTerm(term);
+  if (mem != nullptr) total += mem->list.num_rows();
   return static_cast<uint32_t>(total);
 }
 
@@ -337,36 +419,22 @@ uint32_t SegmentSetVersion::MaxLength(const std::string& term) const {
     if (seg->FindTerm(term) == nullptr) continue;
     deepest = std::max(deepest, seg->MaxLengthOf(term));
   }
-  if (memtable_ != nullptr) {
-    const JDeweyList* list = memtable_->GetList(term);
-    if (list != nullptr) deepest = std::max(deepest, list->max_length);
-  }
+  const Memtable::Term* mem = MemtableTerm(term);
+  if (mem != nullptr) deepest = std::max(deepest, mem->list.max_length);
   return deepest;
 }
 
 const TermStats* SegmentSetVersion::Stats(const std::string& term) const {
   const TermStats& sealed = state_->SealedStats(term);
-  if (memtable_ == nullptr || memtable_->Frequency(term) == 0) {
-    return sealed.rows == 0 ? nullptr : &sealed;
-  }
+  const Memtable::Term* mem = MemtableTerm(term);
+  if (mem == nullptr) return sealed.rows == 0 ? nullptr : &sealed;
   std::lock_guard<std::mutex> lock(mu_);
-  auto cached = stats_cache_.find(term);
-  if (cached != stats_cache_.end()) {
-    return cached->second.rows == 0 ? nullptr : &cached->second;
+  auto [it, inserted] = stats_cache_.try_emplace(term);
+  if (inserted) {
+    it->second = sealed;
+    it->second.Merge(mem->stats, kMergedStatsBuckets);
   }
-
-  TermStats merged = sealed;
-  const TermStats* mt = memtable_->StatsOf(term);
-  if (mt != nullptr) {
-    merged.Merge(*mt, kMergedStatsBuckets);
-  } else {
-    TermStats part;
-    part.rows = memtable_->Frequency(term);
-    merged.Merge(part, kMergedStatsBuckets);
-  }
-  auto [it, inserted] = stats_cache_.emplace(term, std::move(merged));
-  (void)inserted;
-  return it->second.rows == 0 ? nullptr : &it->second;
+  return &it->second;
 }
 
 NodeId SegmentSetVersion::NodeAt(uint32_t level, uint32_t value) const {
@@ -391,8 +459,7 @@ StatusOr<const JDeweyList*> SegmentSetVersion::Resolve(
   size_t fanout = 0;
   StatusOr<const JDeweyList*> sealed = state_->MergedList(term, &fanout);
   if (!sealed.ok()) return sealed.status();
-  const JDeweyList* mem =
-      memtable_ != nullptr ? memtable_->GetList(term) : nullptr;
+  const Memtable::Term* mem = MemtableTerm(term);
   if (mem != nullptr) ++fanout;
   XTOPK_COUNTER("core.join.segment_fanout").Add(fanout);
   if (*sealed == nullptr && mem == nullptr) {
@@ -400,7 +467,7 @@ StatusOr<const JDeweyList*> SegmentSetVersion::Resolve(
   }
   std::vector<const JDeweyList*> parts;
   if (*sealed != nullptr) parts.push_back(*sealed);
-  if (mem != nullptr) parts.push_back(mem);
+  if (mem != nullptr) parts.push_back(&mem->list);
   JDeweyList merged = MergeJDeweyParts(parts);
 
   // tf -> normalized tf·idf with the corpus-global df and normalizer, one

@@ -92,6 +92,51 @@ class SealedSegment {
   mutable std::atomic<bool> superseded_{false};
 };
 
+/// The memtable (DESIGN.md §10): the raw-tf lists of the nodes above the
+/// sealed watermark. Immutable; a refresh builds the next one as
+/// predecessor ⊕ delta, where the delta indexes only the nodes added since
+/// the predecessor. A term the delta does not touch keeps the
+/// predecessor's entry by pointer, so neither building nor releasing a
+/// memtable visits the rows of terms its new documents lack.
+class Memtable {
+ public:
+  /// One term: its raw-tf list, planner statistics and max tf, all fixed
+  /// when the entry is built.
+  struct Term {
+    std::string term;
+    JDeweyList list;
+    TermStats stats;
+    uint32_t max_tf = 0;
+  };
+
+  /// `predecessor` (null: empty) ⊕ `delta`. `delta` must be a
+  /// BuildSegmentIndex over nodes disjoint from the predecessor's, under
+  /// the encoding the predecessor was built with. A term in both is merged
+  /// (MergeJDeweyParts) and its statistics recomputed with `stats_buckets`,
+  /// so the result equals one BuildSegmentIndex over both node sets.
+  static std::shared_ptr<const Memtable> Extend(
+      const std::shared_ptr<const Memtable>& predecessor, JDeweyIndex delta,
+      size_t stats_buckets);
+
+  /// `term`'s entry (binary search), or nullptr when no row holds it.
+  const Term* Find(const std::string& term) const;
+  /// Every entry, sorted by term.
+  const std::vector<std::shared_ptr<const Term>>& terms() const {
+    return terms_;
+  }
+  /// Node with JDewey number `value` at `level` among the indexed nodes
+  /// and their ancestors; kInvalidNode if none.
+  NodeId NodeAt(uint32_t level, uint32_t value) const;
+  uint32_t max_level() const {
+    return static_cast<uint32_t>(level_nodes_.size());
+  }
+
+ private:
+  std::vector<std::shared_ptr<const Term>> terms_;
+  /// Per level (1-based), (value, node) pairs sorted by value.
+  std::vector<std::vector<std::pair<uint32_t, NodeId>>> level_nodes_;
+};
+
 /// What every version over one sealed list shares (DESIGN.md §10, §17).
 /// SegmentedIndex creates one per sealed list — a seal, compaction,
 /// Clear or AddMemorySegment starts a new one — and hands it on to every
@@ -116,13 +161,13 @@ class SealedSetState {
   }
 
   /// Corpus-wide df (Σ rows) and max tf of `term` over the sealed
-  /// segments plus `memtable` (may be null).
+  /// segments plus the memtable's entry `memtable_term` (may be null).
   struct TermGlobal {
     uint64_t df = 0;
     uint32_t max_tf = 0;
   };
   TermGlobal Global(const std::string& term,
-                    const JDeweyList* memtable_list) const;
+                    const Memtable::Term* memtable_term) const;
 
   /// The corpus-wide normalizer of a version over this sealed set plus
   /// `memtable`: the max of RawLocalScore(max_tf, df, corpus_nodes) over
@@ -130,7 +175,7 @@ class SealedSetState {
   /// scan of every term gives) without visiting the sealed-only terms:
   /// per distinct sealed max tf, the sealed-only term of least df scores
   /// highest, so only the first one the memtable does not hold counts.
-  double MaxRaw(const JDeweyIndex* memtable, uint64_t corpus_nodes) const;
+  double MaxRaw(const Memtable* memtable, uint64_t corpus_nodes) const;
 
   /// `term`'s sealed parts merged into one list (raw tf, every row's
   /// NodeId filled), or nullptr when no sealed segment holds it. Merged
@@ -182,9 +227,10 @@ class SealedSetState {
 };
 
 /// An immutable snapshot of the whole segment set: the sealed set's
-/// shared state, the memtable (shared — a later memtable rebuild cannot
-/// pull it out from under a pinned query), and the corpus node count the
-/// idf term needs. Queries pin one version for their entire lifetime, so
+/// shared state, the memtable (shared — a later refresh cannot pull it
+/// out from under a pinned query, and successive memtables share the
+/// entries of terms a refresh did not touch), and the corpus node count
+/// the idf term needs. Queries pin one version for their entire lifetime, so
 /// the segment list can never mutate mid-query; SegmentedIndex publishes
 /// a fresh version for every mutation.
 ///
@@ -197,7 +243,7 @@ class SegmentSetVersion {
  public:
   SegmentSetVersion(uint64_t version,
                     std::shared_ptr<const SealedSetState> sealed,
-                    std::shared_ptr<const JDeweyIndex> memtable,
+                    std::shared_ptr<const Memtable> memtable,
                     uint64_t corpus_nodes);
   ~SegmentSetVersion();
   SegmentSetVersion(const SegmentSetVersion&) = delete;
@@ -210,8 +256,8 @@ class SegmentSetVersion {
   const std::shared_ptr<const SealedSetState>& state() const {
     return state_;
   }
-  const JDeweyIndex* memtable() const { return memtable_.get(); }
-  const std::shared_ptr<const JDeweyIndex>& memtable_ref() const {
+  const Memtable* memtable() const { return memtable_.get(); }
+  const std::shared_ptr<const Memtable>& memtable_ref() const {
     return memtable_;
   }
   uint64_t corpus_nodes() const { return corpus_nodes_; }
@@ -226,9 +272,12 @@ class SegmentSetVersion {
   const TermStats* Stats(const std::string& term) const;
 
  private:
+  /// The memtable's entry of `term`, or nullptr.
+  const Memtable::Term* MemtableTerm(const std::string& term) const;
+
   const uint64_t version_;
   const std::shared_ptr<const SealedSetState> state_;
-  const std::shared_ptr<const JDeweyIndex> memtable_;
+  const std::shared_ptr<const Memtable> memtable_;
   const uint64_t corpus_nodes_;
 
   mutable std::mutex mu_;
@@ -237,14 +286,16 @@ class SegmentSetVersion {
   /// stay stable.
   mutable std::unordered_map<std::string, JDeweyList> cache_;
   /// Planner statistics of terms the memtable holds (the others are the
-  /// sealed set's own); rows == 0 memoizes "term absent".
+  /// sealed set's own).
   mutable std::unordered_map<std::string, TermStats> stats_cache_;
 };
 
 /// TermSource adapter over one pinned version: construct per query,
 /// point JoinSearch/TopKSearch at it, drop it (and the pin) when the
 /// query finishes. PlanWatermark is the version id, so cached plans keyed
-/// through a reader stay correct across background publishes.
+/// through a reader stay correct across background publishes. Resolve
+/// ignores up_to_level and level_bounds: a merged list is always full,
+/// which the TermSource contract allows as a superset.
 class SegmentSetReader : public TermSource {
  public:
   explicit SegmentSetReader(std::shared_ptr<const SegmentSetVersion> version)

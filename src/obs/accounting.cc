@@ -8,7 +8,7 @@ namespace xtopk {
 namespace obs {
 
 namespace internal {
-thread_local ResourceAccounting* tls_accounting = nullptr;
+constinit thread_local ResourceAccounting* tls_accounting = nullptr;
 }  // namespace internal
 
 double ThreadCpuMicros() {

@@ -42,7 +42,9 @@ struct ResourceAccounting {
 namespace internal {
 /// The accounting sink for the current thread, or nullptr when no query is
 /// in flight on it.
-extern thread_local ResourceAccounting* tls_accounting;
+/// constinit: a constant-initialized thread_local needs no init wrapper
+/// call on access.
+extern constinit thread_local ResourceAccounting* tls_accounting;
 }  // namespace internal
 
 /// Installs `acc` as this thread's accounting sink for the scope, restoring

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -173,8 +174,6 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
   for (NodeId id = 0; id < tree.node_count(); ++id) {
     groups[id % groups.size()].push_back(id);
   }
-  JDeweyIndex memtable =
-      BuildSegmentIndex(tree, enc, groups.back(), build_options);
   SegmentedIndex segmented;
   segmented.SetCorpusNodes(tree.node_count());
   for (size_t i = 0; i < sealed_parts; ++i) {
@@ -187,7 +186,19 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
     paths.push_back(std::move(path));
     paths.push_back(paths.back() + ".manifest");
   }
-  segmented.SetMemtable(&memtable);
+  // The memtable arrives in two refreshes whose node sets interleave, so
+  // the predecessor ⊕ delta merge sees rows of both on every level.
+  std::vector<NodeId> first, second;
+  for (size_t i = 0; i < groups.back().size(); ++i) {
+    (i % 2 == 0 ? first : second).push_back(groups.back()[i]);
+  }
+  std::shared_ptr<const Memtable> memtable = Memtable::Extend(
+      nullptr, BuildSegmentIndex(tree, enc, first, build_options),
+      build_options.stats_buckets);
+  memtable = Memtable::Extend(
+      memtable, BuildSegmentIndex(tree, enc, second, build_options),
+      build_options.stats_buckets);
+  segmented.SetMemtable(memtable, tree.node_count());
   std::vector<std::vector<SearchResult>> segmented_complete;
 
   for (size_t qi = 0; qi < workload.size(); ++qi) {
@@ -248,7 +259,8 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
     {
       JoinSearchOptions options;
       options.semantics = query.semantics;
-      JoinSearch search(&segmented, options);
+      SegmentSetReader reader(segmented.Pin());
+      JoinSearch search(&reader, options);
       auto got = search.Search(query.keywords);
       ExpectSameResults(got, want, label + " segmented");
       segmented_complete.push_back(got);
@@ -276,7 +288,8 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
         ExpectTopKMatchesComplete(*got, oracle, query.k,
                                   topk_label + config_names[c]);
       }
-      TopKSearch segmented_topk(&segmented, options);
+      SegmentSetReader reader(segmented.Pin());
+      TopKSearch segmented_topk(&reader, options);
       ExpectTopKMatchesComplete(segmented_topk.Search(query.keywords), oracle,
                                 query.k, topk_label + "segmented");
       for (bool fallback : {true, false}) {
@@ -309,7 +322,8 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
       const WorkloadQuery& query = workload[qi];
       JoinSearchOptions options;
       options.semantics = query.semantics;
-      JoinSearch search(&segmented, options);
+      SegmentSetReader reader(segmented.Pin());
+      JoinSearch search(&reader, options);
       std::vector<SearchResult> got = search.Search(query.keywords);
       std::vector<SearchResult> want_exact = segmented_complete[qi];
       SortByNode(&got);

@@ -81,8 +81,6 @@ TEST_P(PlannerCorrectnessTest, PlannedEqualsHeuristicOnEveryBackend) {
   for (NodeId id = 0; id < tree.node_count(); ++id) {
     groups[id % groups.size()].push_back(id);
   }
-  JDeweyIndex memtable =
-      BuildSegmentIndex(tree, enc, groups.back(), build_options);
   SegmentedIndex segmented;
   segmented.SetCorpusNodes(tree.node_count());
   std::vector<std::string> cleanup = {disk_path, disk_path + ".manifest"};
@@ -97,7 +95,11 @@ TEST_P(PlannerCorrectnessTest, PlannedEqualsHeuristicOnEveryBackend) {
     cleanup.push_back(path);
     cleanup.push_back(path + ".manifest");
   }
-  segmented.SetMemtable(&memtable);
+  segmented.SetMemtable(
+      Memtable::Extend(
+          nullptr, BuildSegmentIndex(tree, enc, groups.back(), build_options),
+          build_options.stats_buckets),
+      tree.node_count());
 
   for (size_t qi = 0; qi < workload.size(); ++qi) {
     const WorkloadQuery& query = workload[qi];
@@ -136,7 +138,8 @@ TEST_P(PlannerCorrectnessTest, PlannedEqualsHeuristicOnEveryBackend) {
     }
 
     // Segmented backend.
-    ExpectBitIdentical(run(&segmented, true), run(&segmented, false),
+    SegmentSetReader reader(segmented.Pin());
+    ExpectBitIdentical(run(&reader, true), run(&reader, false),
                        label + " segmented");
   }
   for (const std::string& path : cleanup) std::remove(path.c_str());

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/join_search.h"
@@ -14,6 +16,8 @@
 #include "index/segment_view.h"
 #include "obs/metrics.h"
 #include "storage/segment_manifest.h"
+#include "testing/corpus.h"
+#include "util/rng.h"
 #include "xml/jdewey_builder.h"
 #include "xml/xml_parser.h"
 
@@ -74,11 +78,12 @@ TEST(SegmentedIndexTest, MergedListsMatchMonolithicBuild) {
   }
   EXPECT_EQ(segmented.sealed_count(), 3u);
 
+  SegmentSetReader reader(segmented.Pin());
   for (const TermInfo& info : builder.terms()) {
-    EXPECT_EQ(segmented.Frequency(info.term), info.frequency);
+    EXPECT_EQ(reader.Frequency(info.term), info.frequency);
     const JDeweyList* want = monolithic.GetList(info.term);
     ASSERT_NE(want, nullptr);
-    auto got = segmented.Resolve(info.term, UINT32_MAX, true, nullptr);
+    auto got = reader.Resolve(info.term, UINT32_MAX, true, nullptr);
     ASSERT_TRUE(got.ok());
     ASSERT_NE(*got, nullptr);
     ExpectListsEqual(**got, *want, info.term);
@@ -87,8 +92,8 @@ TEST(SegmentedIndexTest, MergedListsMatchMonolithicBuild) {
       EXPECT_EQ((*got)->nodes[r], want->nodes[r]) << info.term;
     }
   }
-  EXPECT_EQ(segmented.max_level(), monolithic.max_level());
-  auto missing = segmented.Resolve("zebra", UINT32_MAX, true, nullptr);
+  EXPECT_EQ(reader.max_level(), monolithic.max_level());
+  auto missing = reader.Resolve("zebra", UINT32_MAX, true, nullptr);
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(*missing, nullptr);
 }
@@ -110,11 +115,14 @@ TEST(SegmentedIndexTest, MemtableParticipatesInMergeAndFrequencies) {
   segmented.AddMemorySegment(BuildSegmentIndex(tree, enc, groups[1], options),
                              groups[1].size());
   JDeweyIndex memtable = BuildSegmentIndex(tree, enc, groups[2], options);
-  segmented.SetMemtable(&memtable);
+  segmented.SetMemtable(
+      Memtable::Extend(nullptr, std::move(memtable), options.stats_buckets),
+      tree.node_count());
 
+  SegmentSetReader reader(segmented.Pin());
   for (const TermInfo& info : builder.terms()) {
-    EXPECT_EQ(segmented.Frequency(info.term), info.frequency);
-    auto got = segmented.Resolve(info.term, UINT32_MAX, true, nullptr);
+    EXPECT_EQ(reader.Frequency(info.term), info.frequency);
+    auto got = reader.Resolve(info.term, UINT32_MAX, true, nullptr);
     ASSERT_TRUE(got.ok());
     ExpectListsEqual(**got, *monolithic.GetList(info.term), info.term);
   }
@@ -122,7 +130,7 @@ TEST(SegmentedIndexTest, MemtableParticipatesInMergeAndFrequencies) {
   // The cursor-layer merge feeds the one JoinSearch implementation.
   JoinSearchOptions join_options;
   join_options.compute_scores = true;
-  JoinSearch over_segments(&segmented, join_options);
+  JoinSearch over_segments(&reader, join_options);
   JoinSearch over_monolithic(monolithic, join_options);
   for (const auto& query : std::vector<std::vector<std::string>>{
            {"xml", "keyword"}, {"title", "ranking"}, {"xml", "ann"}}) {
@@ -158,8 +166,9 @@ TEST(SegmentedIndexTest, DiskSegmentsAndCompactionPreserveLists) {
   EXPECT_EQ(obs::MetricsRegistry::Global().GetGauge("index.segments").value(),
             2);
 
+  SegmentSetReader before(segmented.Pin());
   for (const TermInfo& info : builder.terms()) {
-    auto got = segmented.Resolve(info.term, UINT32_MAX, true, nullptr);
+    auto got = before.Resolve(info.term, UINT32_MAX, true, nullptr);
     ASSERT_TRUE(got.ok());
     ExpectListsEqual(**got, *monolithic.GetList(info.term), info.term);
   }
@@ -173,9 +182,10 @@ TEST(SegmentedIndexTest, DiskSegmentsAndCompactionPreserveLists) {
       obs::MetricsRegistry::Global().GetCounter("index.compactions").value(),
       compactions_before + 1);
 
+  SegmentSetReader after(segmented.Pin());
   for (const TermInfo& info : builder.terms()) {
-    EXPECT_EQ(segmented.Frequency(info.term), info.frequency);
-    auto got = segmented.Resolve(info.term, UINT32_MAX, true, nullptr);
+    EXPECT_EQ(after.Frequency(info.term), info.frequency);
+    auto got = after.Resolve(info.term, UINT32_MAX, true, nullptr);
     ASSERT_TRUE(got.ok());
     ExpectListsEqual(**got, *monolithic.GetList(info.term), info.term);
   }
@@ -254,6 +264,76 @@ TEST(SegmentManifestTest, TermsAreSortedAndFoundByTerm) {
     EXPECT_EQ(sealed->FindTerm("no-such-term"), nullptr);
     EXPECT_EQ(sealed->FindTerm(""), nullptr);
   }
+}
+
+/// FNV-1a over the bytes of the file at `path`.
+uint64_t FileDigest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+    hash = (hash ^ static_cast<unsigned char>(*it)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(SegmentManifestTest, SealedImageBytesArePinned) {
+  // The image and manifest DiskIndexWriter writes for a BuildSegmentIndex
+  // segment, pinned by digest: a faster build must not move a byte. Each
+  // corpus grows after its initial Assign through InsertAssign, so part of
+  // its numbering is maintained (reserved gaps, partial re-encodes) and
+  // creation order differs from sequence order; each is sealed once as a
+  // contiguous id range and once round-robin.
+  struct Case {
+    uint64_t seed;
+    uint64_t image_digest[2];
+    uint64_t manifest_digest[2];
+  };
+  const Case cases[] = {
+      {3,
+       {0x2d04bca492e6d1dfull, 0xb144d1fbe5f36da2ull},
+       {0x05478597911b5159ull, 0x51032f5eaee6dd81ull}},
+      {17,
+       {0x2d8d77b108d30f9dull, 0x27cf90ee0037cb93ull},
+       {0x4f39f829395c7c5eull, 0x3baa864e87935cf0ull}},
+      {42,
+       {0x261abec5749a9dbcull, 0x56e831f51ad8a1a6ull},
+       {0x665bdf2463ed1b29ull, 0x09162b540bde7d0aull}},
+  };
+  IndexBuildOptions options;
+  const std::string path = TempPath("pinned_image");
+  for (const Case& c : cases) {
+    const testing::CorpusSpec spec = testing::MakeCorpusSpec(c.seed);
+    XmlTree tree = testing::MakeCorpusTree(spec);
+    JDeweyEncoding enc = JDeweyBuilder::Assign(tree, options.jdewey_gap);
+    Rng rng(c.seed);
+    const size_t grown = tree.node_count() / 2;
+    size_t updates = 0;
+    for (size_t i = 0; i < grown; ++i) {
+      NodeId parent = static_cast<NodeId>(rng.NextBounded(tree.node_count()));
+      NodeId node = tree.AddChild(parent, "g");
+      tree.AppendText(node, spec.terms[i % spec.terms.size()]);
+      updates +=
+          JDeweyBuilder::InsertAssign(tree, node, options.jdewey_gap, &enc);
+    }
+    EXPECT_GT(updates, grown) << "no insert re-encoded a subtree";
+    std::vector<NodeId> range, interleaved;
+    for (NodeId id = 0; id < tree.node_count(); ++id) {
+      if (id >= tree.node_count() / 3) range.push_back(id);
+      if (id % 2 == 1) interleaved.push_back(id);
+    }
+    const std::vector<NodeId>* groups[2] = {&range, &interleaved};
+    for (size_t g = 0; g < 2; ++g) {
+      SCOPED_TRACE("seed " + std::to_string(c.seed) + " group " +
+                   std::to_string(g));
+      JDeweyIndex segment = BuildSegmentIndex(tree, enc, *groups[g], options);
+      ASSERT_TRUE(
+          DiskIndexWriter::Write(segment, path, {}, groups[g]->size()).ok());
+      EXPECT_EQ(FileDigest(path), c.image_digest[g]);
+      EXPECT_EQ(FileDigest(path + ".manifest"), c.manifest_digest[g]);
+    }
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".manifest").c_str());
 }
 
 }  // namespace

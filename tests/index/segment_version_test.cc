@@ -1,8 +1,9 @@
 // Snapshot isolation of SegmentSetVersion (index/segment_view.h): pinned
 // queries are immune to concurrent publishes, superseded segment files
 // survive exactly as long as the last pin, the version gauge tracks live
-// snapshots, and readers on many threads share one SealedSetState while
-// the memtable and the sealed set change under them.
+// snapshots, and readers on many threads share one SealedSetState and
+// memtable entries while the writer extends the memtable and changes the
+// sealed set under them.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -11,7 +12,9 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -186,8 +189,8 @@ TEST(SegmentVersionTest, VersionGaugeTracksLiveSnapshots) {
   // Both pins share the head version object — no new snapshots yet.
   EXPECT_EQ(gauge.value(), base);
 
-  JDeweyIndex memtable;
-  segmented.SetMemtable(&memtable);  // publish: head replaced
+  segmented.SetMemtable(std::make_shared<const Memtable>(),
+                        fx.tree.node_count());  // publish: head replaced
   auto pin_c = segmented.Pin();
   // Old version still pinned by a/b + new head = one more live snapshot.
   EXPECT_EQ(gauge.value(), base + 1);
@@ -238,7 +241,8 @@ TEST(SegmentVersionTest, PublishCompactionAbortsWhenInputsChanged) {
 
 TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
   // A random corpus: the first half of the nodes sealed in two disk
-  // segments, the rest arriving through memtables that grow in stages.
+  // segments, the rest arriving through a memtable the writer extends in
+  // small stages, as durable refreshes do.
   const testing::CorpusSpec spec = testing::MakeCorpusSpec(7);
   const XmlTree tree = testing::MakeCorpusTree(spec);
   IndexBuildOptions options;
@@ -265,17 +269,19 @@ TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
       ASSERT_TRUE(index->AddDiskSegment(paths[i], {}, i + 1).ok());
     }
   };
-  constexpr size_t kStages = 4;
-  std::vector<std::shared_ptr<const JDeweyIndex>> stages;
-  for (size_t k = 1; k <= kStages; ++k) {
+  // Stage k's memtable indexes [sealed_end, stage_end(k)); stages are small
+  // enough that some add no row of some term.
+  constexpr size_t kStages = 16;
+  auto stage_end = [&](size_t k) {
+    return sealed_end + (n - sealed_end) * (k + 1) / kStages;
+  };
+  auto build = [&](size_t begin, size_t end) {
     std::vector<NodeId> nodes;
-    for (size_t id = sealed_end; id < sealed_end + (n - sealed_end) * k / kStages;
-         ++id) {
+    for (size_t id = begin; id < end; ++id) {
       nodes.push_back(static_cast<NodeId>(id));
     }
-    stages.push_back(std::make_shared<const JDeweyIndex>(
-        BuildSegmentIndex(tree, enc, nodes, options)));
-  }
+    return BuildSegmentIndex(tree, enc, nodes, options);
+  };
   std::vector<std::vector<std::string>> queries;
   std::set<std::string> query_terms;
   for (size_t i = 0; i + 1 < spec.terms.size() && queries.size() < 6; ++i) {
@@ -284,25 +290,44 @@ TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
     query_terms.insert(spec.terms[i + 1]);
   }
 
-  // Every stage's answers, from an index no other thread touches.
+  // Every stage's answers over a memtable built from scratch, from an
+  // index no other thread touches.
   std::vector<std::vector<std::vector<SearchResult>>> expected(kStages);
   {
     SegmentedIndex reference;
     open_sealed(&reference);
     for (size_t k = 0; k < kStages; ++k) {
-      reference.SetMemtable(stages[k], n);
+      reference.SetMemtable(Memtable::Extend(nullptr,
+                                             build(sealed_end, stage_end(k)),
+                                             options.stats_buckets),
+                            n);
       for (const auto& q : queries) {
         expected[k].push_back(RunQuery(reference.Pin(), q));
       }
     }
   }
 
+  // Which stage each published memtable is. A pinned memtable cannot die,
+  // so its address cannot name another stage while a reader holds it.
+  std::mutex stage_mu;
+  std::map<const Memtable*, size_t> stage_of;
+
   SegmentedIndex live;
   open_sealed(&live);
-  live.SetMemtable(stages[0], n);
   auto& merges =
       obs::MetricsRegistry::Global().GetCounter("index.sealed_list_merges");
   const int64_t merges_before = merges.value();
+  auto publish_stage = [&](std::shared_ptr<const Memtable> memtable,
+                           size_t k) {
+    {
+      std::lock_guard<std::mutex> lock(stage_mu);
+      stage_of[memtable.get()] = k;
+    }
+    live.SetMemtable(std::move(memtable), n);
+  };
+  std::shared_ptr<const Memtable> memtable = Memtable::Extend(
+      nullptr, build(sealed_end, stage_end(0)), options.stats_buckets);
+  publish_stage(memtable, 0);
 
   std::atomic<bool> done{false};
   std::atomic<int> mismatches{0};
@@ -312,8 +337,12 @@ TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
     readers.emplace_back([&] {
       do {
         std::shared_ptr<const SegmentSetVersion> pin = live.Pin();
-        size_t k = 0;
-        while (k < kStages && pin->memtable() != stages[k].get()) ++k;
+        size_t k = kStages;
+        {
+          std::lock_guard<std::mutex> lock(stage_mu);
+          auto it = stage_of.find(pin->memtable());
+          if (it != stage_of.end()) k = it->second;
+        }
         if (k == kStages) {
           mismatches.fetch_add(1);
           continue;
@@ -334,12 +363,15 @@ TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
     });
   }
 
-  // The writer: memtable publishes carry the sealed set's state along;
-  // one compaction in the middle starts a new one.
+  // The writer: each round rebuilds stage 0 and extends it stage by stage
+  // while readers still hold the versions it extends; the memtable
+  // publishes carry the sealed set's state along, and one compaction in
+  // the middle starts a new one.
   const std::string compacted = TempPath("shared_state_out");
   const SealedSetState* first_state = live.Pin()->state().get();
   const SealedSetState* second_state = nullptr;
   bool carried = true;
+  size_t shared_entries = 0;
   Status compact_status;
   for (size_t round = 0; round < 3; ++round) {
     for (size_t k = 0; k < kStages; ++k) {
@@ -347,11 +379,23 @@ TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
         compact_status = live.Compact(compacted);
         second_state = live.Pin()->state().get();
       }
-      live.SetMemtable(stages[k], n);
+      std::shared_ptr<const Memtable> next =
+          k == 0 ? Memtable::Extend(nullptr, build(sealed_end, stage_end(0)),
+                                    options.stats_buckets)
+                 : Memtable::Extend(memtable,
+                                    build(stage_end(k - 1), stage_end(k)),
+                                    options.stats_buckets);
+      if (k > 0) {
+        for (const auto& term : memtable->terms()) {
+          if (next->Find(term->term) == term.get()) ++shared_entries;
+        }
+      }
+      memtable = next;
+      publish_stage(std::move(next), k);
       const SealedSetState* now = live.Pin()->state().get();
       carried = carried &&
                 now == (second_state == nullptr ? first_state : second_state);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
   done.store(true);
@@ -361,6 +405,7 @@ TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
   EXPECT_EQ(live.sealed_count(), 1u);
   EXPECT_NE(second_state, first_state);
   EXPECT_TRUE(carried) << "a memtable publish replaced the sealed-set state";
+  EXPECT_GT(shared_entries, 0u) << "no stage shared an untouched term";
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GE(reads.load(), 4);
   // Each (sealed set, term) merges at most once: two sealed sets here.
