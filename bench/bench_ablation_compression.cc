@@ -160,12 +160,10 @@ void RunStructureAblation(const char* label, bool repeated, size_t groups,
                           size_t copies) {
   xtopk::XmlTree tree = MakeStructuredCorpus(repeated, groups, copies);
 
-  xtopk::IndexBuildOptions plain_options;
-  plain_options.build_threads = 8;
-  xtopk::IndexBuilder plain_builder(tree, plain_options);
+  xtopk::IndexBuilder plain_builder(tree);
   xtopk::JDeweyIndex plain = plain_builder.BuildJDeweyIndex();
 
-  xtopk::IndexBuildOptions comp_options = plain_options;
+  xtopk::IndexBuildOptions comp_options;
   comp_options.enable_dag = true;
   comp_options.enable_dict = true;
   xtopk::IndexBuilder comp_builder(tree, comp_options);

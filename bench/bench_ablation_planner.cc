@@ -81,10 +81,7 @@ xtopk::bench::BenchCorpus BuildPlannerCorpus() {
   corpus.tree = std::make_unique<xtopk::XmlTree>(std::move(dblp.tree));
   std::fprintf(stderr, "[bench] planner corpus: %zu nodes\n",
                corpus.tree->node_count());
-  xtopk::IndexBuildOptions build_options;
-  build_options.build_threads = 8;
-  corpus.builder =
-      std::make_unique<xtopk::IndexBuilder>(*corpus.tree, build_options);
+  corpus.builder = std::make_unique<xtopk::IndexBuilder>(*corpus.tree);
   return corpus;
 }
 

@@ -114,7 +114,6 @@ void RunCorpus(const char* corpus, xtopk::bench::BenchCorpus (*build)()) {
       EmitSerializedBreakdown(corpus, "plain", plain, report);
 
   xtopk::IndexBuildOptions comp_options;
-  comp_options.build_threads = 8;
   comp_options.enable_dag = true;
   comp_options.enable_dict = true;
   xtopk::IndexBuilder comp_builder(*bench_corpus.tree, comp_options);

@@ -82,9 +82,7 @@ inline BenchCorpus BuildDblpBenchCorpus() {
   std::fprintf(stderr, "[bench] DBLP-like corpus: %zu nodes (%.1fs)\n",
                corpus.tree->node_count(), timer.ElapsedSeconds());
   timer.Reset();
-  IndexBuildOptions build_options;
-  build_options.build_threads = 8;
-  corpus.builder = std::make_unique<IndexBuilder>(*corpus.tree, build_options);
+  corpus.builder = std::make_unique<IndexBuilder>(*corpus.tree);
   std::fprintf(stderr, "[bench] index pipeline: %.1fs\n",
                timer.ElapsedSeconds());
   return corpus;
@@ -102,9 +100,7 @@ inline BenchCorpus BuildXmarkBenchCorpus() {
   corpus.tree = std::make_unique<XmlTree>(std::move(xmark.tree));
   std::fprintf(stderr, "[bench] XMark-like corpus: %zu nodes\n",
                corpus.tree->node_count());
-  IndexBuildOptions build_options;
-  build_options.build_threads = 8;
-  corpus.builder = std::make_unique<IndexBuilder>(*corpus.tree, build_options);
+  corpus.builder = std::make_unique<IndexBuilder>(*corpus.tree);
   return corpus;
 }
 

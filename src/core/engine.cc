@@ -1,6 +1,6 @@
 #include "core/engine.h"
 
-#include <cstdio>
+#include <charconv>
 #include <unordered_set>
 
 #include "obs/metrics.h"
@@ -40,12 +40,19 @@ std::string ResultFingerprint(const std::vector<QueryHit>& hits) {
   blob.reserve(hits.size() * 32);
   char buf[64];
   for (const QueryHit& hit : hits) {
-    // %.9g makes the digest robust to sub-ulp score differences between
-    // builds (FMA contraction and the like) while still distinguishing any
-    // real scoring change.
-    std::snprintf(buf, sizeof(buf), "%u:%u:%.9g;", hit.node, hit.level,
-                  hit.score);
-    blob += buf;
+    // "node:level:score;" with the score as %.9g (to_chars' general format
+    // at precision 9 is specified to print the same): robust to sub-ulp
+    // score differences between builds (FMA contraction and the like)
+    // while still distinguishing any real scoring change.
+    char* end = std::to_chars(buf, buf + sizeof(buf), hit.node).ptr;
+    *end++ = ':';
+    end = std::to_chars(end, buf + sizeof(buf), hit.level).ptr;
+    *end++ = ':';
+    end = std::to_chars(end, buf + sizeof(buf), hit.score,
+                        std::chars_format::general, 9)
+              .ptr;
+    *end++ = ';';
+    blob.append(buf, end);
   }
   return obs::FingerprintHex(blob);
 }
@@ -54,8 +61,7 @@ Engine::Engine(const XmlTree& tree, EngineOptions options)
     : tree_(tree), options_(options) {
   options_.index.scoring = options_.scoring;
   builder_ = std::make_unique<IndexBuilder>(tree_, options_.index);
-  jdewey_index_ = builder_->BuildJDeweyIndex();
-  topk_index_ = builder_->BuildTopKIndex(jdewey_index_);
+  topk_index_ = builder_->BuildTopKIndex(jdewey_index());
 }
 
 std::vector<std::string> NormalizeKeywords(
@@ -190,7 +196,7 @@ BatchQueryResult RunQuery(const XmlTree& tree, const EngineOptions& options,
 
 BatchQueryResult Engine::Run(const BatchQuery& query,
                              obs::QueryTrace* trace) const {
-  MemoryTermSource source(jdewey_index_);
+  MemoryTermSource source(jdewey_index());
   return RunQuery(tree_, options_, &source, &topk_index_, &plan_cache_, query,
                   trace);
 }
@@ -285,7 +291,7 @@ ExplainResult Engine::Explain(const std::vector<std::string>& keywords,
 }
 
 uint32_t Engine::Frequency(const std::string& keyword) const {
-  return jdewey_index_.Frequency(keyword);
+  return jdewey_index().Frequency(keyword);
 }
 
 }  // namespace xtopk

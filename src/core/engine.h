@@ -180,7 +180,7 @@ class Engine {
       const std::vector<std::string>& keywords) const;
 
   const XmlTree& tree() const { return tree_; }
-  const JDeweyIndex& jdewey_index() const { return jdewey_index_; }
+  const JDeweyIndex& jdewey_index() const { return builder_->jdewey_index(); }
   const TopKIndex& topk_index() const { return topk_index_; }
   const IndexBuilder& builder() const { return *builder_; }
   /// The join-plan cache (tests assert hit/miss behavior through it).
@@ -189,8 +189,8 @@ class Engine {
  private:
   const XmlTree& tree_;
   EngineOptions options_;
+  /// Holds the one JDewey index the engine serves.
   std::unique_ptr<IndexBuilder> builder_;
-  JDeweyIndex jdewey_index_;
   TopKIndex topk_index_;
   /// Shared join-plan cache (the indexes are immutable, so entries never
   /// go stale). mutable: Run is const and may plan from RunBatch's

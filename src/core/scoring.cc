@@ -13,6 +13,22 @@ double RawLocalScore(uint32_t tf, uint64_t df, uint64_t corpus_nodes) {
   return tf_weight * idf;
 }
 
+void ScoreRawTfs(uint64_t df, uint64_t corpus_nodes, double max_raw,
+                 std::vector<float>* scores) {
+  // One RawLocalScore per distinct tf; 0 marks a tf not scored yet (every
+  // score is positive).
+  std::vector<float> score_of;
+  for (float& score : *scores) {
+    uint32_t tf = static_cast<uint32_t>(score);
+    if (tf >= score_of.size()) score_of.resize(tf + 1, 0.0f);
+    if (score_of[tf] == 0.0f) {
+      score_of[tf] =
+          static_cast<float>(RawLocalScore(tf, df, corpus_nodes) / max_raw);
+    }
+    score = score_of[tf];
+  }
+}
+
 double Damp(const ScoringParams& params, uint32_t delta) {
   return std::pow(params.damping_base, static_cast<double>(delta));
 }

@@ -2,6 +2,7 @@
 #define XTOPK_CORE_SCORING_H_
 
 #include <cstdint>
+#include <vector>
 
 namespace xtopk {
 
@@ -20,6 +21,14 @@ struct ScoringParams {
 
 /// Computes the raw (unnormalized) tf·idf local score.
 double RawLocalScore(uint32_t tf, uint64_t df, uint64_t corpus_nodes);
+
+/// The one rule that turns raw term frequencies into local scores: each
+/// tf in `scores` (one term's rows, stored as floats) becomes
+/// float(RawLocalScore(tf, df, corpus_nodes) / max_raw), where `max_raw` is
+/// the corpus max of RawLocalScore. IndexBuilder and
+/// SegmentSetVersion::Resolve both score through here.
+void ScoreRawTfs(uint64_t df, uint64_t corpus_nodes, double max_raw,
+                 std::vector<float>* scores);
 
 /// d(Δl): damping for a vertical distance of `delta` levels.
 double Damp(const ScoringParams& params, uint32_t delta);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "btree/btree.h"
@@ -32,10 +31,6 @@ struct IndexBuildOptions {
   ScoringParams scoring;
   /// Fanout of baseline B+-trees.
   size_t btree_fanout = 128;
-  /// Worker threads for the per-term list materialization (1 = serial).
-  /// Results are bit-identical across thread counts: every term writes to
-  /// its own pre-sized slot.
-  size_t build_threads = 1;
   /// Equal-height histogram buckets per (term, level) in the planner
   /// statistics computed at build time. 0 disables statistics.
   size_t stats_buckets = kDefaultStatsBuckets;
@@ -60,17 +55,22 @@ struct TermInfo {
   uint32_t frequency = 0;
 };
 
-/// Runs the shared indexing pipeline over one tree — tokenization, Dewey
-/// and JDewey assignment, tf·idf local scores — then materializes any of
-/// the four index families the paper evaluates. The tree must outlive the
-/// builder; the builder must outlive nothing (built indexes are
-/// self-contained except where documented).
+/// Indexes one tree: BuildSegmentIndex over every node under a fresh JDewey
+/// encoding, with raw tfs turned into tf·idf local scores (ScoreRawTfs), is
+/// the column-oriented JDewey index, built once at construction. The other
+/// index families the paper evaluates read their rows from it. The tree
+/// must outlive the builder; built indexes are self-contained except where
+/// documented.
 class IndexBuilder {
  public:
   explicit IndexBuilder(const XmlTree& tree, IndexBuildOptions options = {});
 
-  /// Column-oriented JDewey index (the join-based algorithms' input).
-  JDeweyIndex BuildJDeweyIndex() const;
+  /// The column-oriented JDewey index (the join-based algorithms' input).
+  const JDeweyIndex& jdewey_index() const { return index_; }
+
+  /// An owned copy of jdewey_index(), for callers that keep it apart from
+  /// the builder.
+  JDeweyIndex BuildJDeweyIndex() const { return JDeweyIndex(index_); }
 
   /// Document-order Dewey index (stack-based & index-based baselines).
   DeweyIndex BuildDeweyIndex() const;
@@ -88,23 +88,17 @@ class IndexBuilder {
   /// large). Used for Table I size accounting.
   BTree BuildCombinedBTree(const DeweyIndex& base) const;
 
-  /// All terms with their frequencies, unordered.
+  /// All terms with their frequencies, sorted by term.
   const std::vector<TermInfo>& terms() const { return term_infos_; }
 
   const JDeweyEncoding& jdewey_encoding() const { return jdewey_; }
   const XmlTree& tree() const { return tree_; }
 
  private:
-  struct Occurrence {
-    NodeId node = kInvalidNode;
-    float score = 0.0f;
-  };
-
   const XmlTree& tree_;
   IndexBuildOptions options_;
   JDeweyEncoding jdewey_;
-  std::unordered_map<std::string, uint32_t> term_ids_;
-  std::vector<std::vector<Occurrence>> occurrences_;  // per term, doc order
+  JDeweyIndex index_;
   std::vector<TermInfo> term_infos_;
 };
 

@@ -37,7 +37,7 @@ IndexSizeReport MeasureIndexSizes(const IndexBuilder& builder,
   IndexSizeReport report;
   report.corpus = corpus;
 
-  JDeweyIndex jindex = builder.BuildJDeweyIndex();
+  const JDeweyIndex& jindex = builder.jdewey_index();
   report.join_based_il = jindex.EncodedListBytes(/*include_scores=*/false);
   report.join_based_sparse = jindex.SparseIndexBytes();
 

@@ -53,44 +53,6 @@ struct JDeweyList {
   JDeweySeq SequenceOf(uint32_t row) const;
 };
 
-/// Fills `list`'s lengths, max_length and columns from its rows' JDewey
-/// sequences, `seq_of(row)` for row in [0, rows), given in sequence order.
-/// One pass gathers the sequences into a flat buffer and counts each
-/// level's runs, so every column's run vector is allocated once at its
-/// exact size and keeps no growth slack for the index's lifetime.
-template <typename SeqOf>
-void FillColumns(uint32_t rows, const SeqOf& seq_of, JDeweyList* list) {
-  std::vector<uint32_t> flat;      // every row's components, row after row
-  std::vector<size_t> begin(rows);  // row -> its first component in flat
-  std::vector<size_t> runs;         // per level
-  list->lengths.resize(rows);
-  for (uint32_t row = 0; row < rows; ++row) {
-    const JDeweySeq& seq = seq_of(row);
-    if (runs.size() < seq.size()) runs.resize(seq.size(), 0);
-    // Equal values at a level are contiguous rows (one subtree), so a row
-    // opens a run unless the previous row reaches the level with its value.
-    for (size_t i = 0; i < seq.size(); ++i) {
-      if (row == 0 || i >= list->lengths[row - 1] ||
-          flat[begin[row - 1] + i] != seq[i]) {
-        ++runs[i];
-      }
-    }
-    begin[row] = flat.size();
-    flat.insert(flat.end(), seq.begin(), seq.end());
-    list->lengths[row] = static_cast<uint16_t>(seq.size());
-  }
-  list->max_length = static_cast<uint32_t>(runs.size());
-  list->columns.resize(runs.size());
-  for (size_t i = 0; i < runs.size(); ++i) {
-    list->columns[i].ReserveRuns(runs[i]);
-  }
-  for (uint32_t row = 0; row < rows; ++row) {
-    for (uint16_t i = 0; i < list->lengths[row]; ++i) {
-      list->columns[i].Append(row, flat[begin[row] + i]);
-    }
-  }
-}
-
 /// Keyword -> column-oriented inverted list, plus the (level, value) ->
 /// NodeId reverse mapping needed to hand results back as tree nodes.
 class JDeweyIndex {
@@ -98,7 +60,6 @@ class JDeweyIndex {
   JDeweyIndex() = default;
   JDeweyIndex(JDeweyIndex&&) = default;
   JDeweyIndex& operator=(JDeweyIndex&&) = default;
-  JDeweyIndex(const JDeweyIndex&) = delete;
   JDeweyIndex& operator=(const JDeweyIndex&) = delete;
 
   /// List for `term`, or nullptr if the term does not occur.
@@ -149,6 +110,9 @@ class JDeweyIndex {
   friend class IndexBuilder;
   friend struct IndexIoAccess;
 
+  /// Copies are made only on purpose: IndexBuilder::BuildJDeweyIndex.
+  JDeweyIndex(const JDeweyIndex&) = default;
+
   /// Looks a term up through whichever dictionary form is active; returns
   /// the term id or UINT32_MAX.
   uint32_t TermIdOf(const std::string& term) const;
@@ -176,9 +140,8 @@ class JDeweyIndex {
 
 /// Computes the planner statistics of one list: its row count plus one
 /// equal-height histogram (<= `max_buckets` buckets) per level over the
-/// list's distinct JDewey values. Used at build time by IndexBuilder and
-/// BuildSegmentIndex, and by Compact when re-deriving exact statistics for
-/// a merged segment.
+/// list's distinct JDewey values. Used at build time by BuildSegmentIndex,
+/// and by Compact when re-deriving exact statistics for a merged segment.
 TermStats ComputeListStats(const JDeweyList& list, size_t max_buckets);
 
 /// Per-component resident footprint of an in-memory index: what the
@@ -195,7 +158,7 @@ struct ResidentBytesReport {
 ResidentBytesReport MeasureResidentBytes(const JDeweyIndex& index);
 
 /// Publishes `report` to the index.resident_bytes.* gauges (exposed via
-/// xtopk_statsd /vars and the compact BENCH snapshot).
+/// /vars on the serve port and the compact BENCH snapshot).
 void PublishResidentBytes(const ResidentBytesReport& report);
 
 }  // namespace xtopk

@@ -11,25 +11,22 @@
 
 namespace xtopk {
 
-/// Builds the partial inverted index of one segment: the column-oriented
-/// lists of exactly the nodes in `nodes`, numbered by the SHARED (possibly
-/// incrementally maintained) encoding `enc` rather than a fresh assignment.
+/// The one JDewey index builder: the column-oriented lists of exactly the
+/// nodes in `nodes`, numbered by `enc` — a SHARED (possibly incrementally
+/// maintained) encoding for segments and the memtable, a fresh one over
+/// every node for IndexBuilder.
 ///
-/// Two deliberate differences from IndexBuilder::BuildJDeweyIndex:
+///  - Scores carry the RAW term frequency of each occurrence. The tf·idf
+///    local score needs corpus-global statistics (per-term df, the global
+///    max raw score, the corpus node count) that one segment cannot know;
+///    ScoreRawTfs (core/scoring.h) applies them, in IndexBuilder and, at
+///    query time, in SegmentSetVersion::Resolve.
 ///
-///  - Scores carry the RAW term frequency of each occurrence, not the
-///    normalized tf·idf local score. Normalization needs corpus-global
-///    statistics (per-term df, the global max raw score, the corpus node
-///    count) that one segment cannot know — the SegmentedIndex applies the
-///    transform at query time from the union of every segment's manifest,
-///    which reproduces the single-index scores bit for bit because
-///    RawLocalScore is monotone in tf for a fixed df.
-///
-///  - Rows are sorted by actual JDewey sequence (CompareJDewey), not by
-///    document order: under a maintained encoding a partially re-encoded
-///    subtree can put creation order out of value order, and Property 3.1
-///    (non-decreasing column values) must hold per segment for the
-///    cursor-layer merge to be a plain sorted merge.
+///  - Rows are sorted by JDewey sequence (CompareJDewey's order): under a
+///    maintained encoding a partially re-encoded subtree can put creation
+///    order out of value order, and Property 3.1 (non-decreasing column
+///    values) must hold per segment for the cursor-layer merge to be a
+///    plain sorted merge. Under a fresh encoding this is document order.
 ///
 /// The (level, value) -> node mapping covers `nodes` plus all their
 /// ancestors, so ELCA/SLCA answers that land above the segment's own nodes
@@ -37,6 +34,9 @@ namespace xtopk {
 JDeweyIndex BuildSegmentIndex(const XmlTree& tree, const JDeweyEncoding& enc,
                               const std::vector<NodeId>& nodes,
                               const IndexBuildOptions& options);
+
+/// Largest raw term frequency of a list whose scores carry raw tfs.
+uint32_t MaxTf(const JDeweyList& list);
 
 /// Derives the sidecar manifest of a segment index whose scores carry raw
 /// term frequencies. `covered_nodes` is left 0 — the caller knows the

@@ -90,19 +90,6 @@ uint32_t SealedSegment::max_level() const {
   return memory_ != nullptr ? memory_->max_level() : env_->max_level();
 }
 
-namespace {
-
-/// Max tf of a raw-tf list.
-uint32_t MaxTf(const JDeweyList& list) {
-  uint32_t max_tf = 0;
-  for (float tf : list.scores) {
-    max_tf = std::max(max_tf, static_cast<uint32_t>(tf));
-  }
-  return max_tf;
-}
-
-}  // namespace
-
 std::shared_ptr<const Memtable> Memtable::Extend(
     const std::shared_ptr<const Memtable>& predecessor, JDeweyIndex delta,
     size_t stats_buckets) {
@@ -239,22 +226,16 @@ const SealedSetState::TermEntry* SealedSetState::FindLocked(
   return it != terms_.end() && *it->term == term ? &*it : nullptr;
 }
 
-SealedSetState::TermGlobal SealedSetState::Global(
-    const std::string& term, const Memtable::Term* memtable_term) const {
-  TermGlobal global;
+uint64_t SealedSetState::Df(const std::string& term,
+                            const Memtable::Term* memtable_term) const {
+  uint64_t df = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const TermEntry* entry = FindLocked(term);
-    if (entry != nullptr) {
-      global.df = entry->df;
-      global.max_tf = entry->max_tf;
-    }
+    if (entry != nullptr) df = entry->df;
   }
-  if (memtable_term != nullptr) {
-    global.df += memtable_term->list.num_rows();
-    global.max_tf = std::max(global.max_tf, memtable_term->max_tf);
-  }
-  return global;
+  if (memtable_term != nullptr) df += memtable_term->list.num_rows();
+  return df;
 }
 
 double SealedSetState::MaxRaw(const Memtable* memtable,
@@ -470,27 +451,12 @@ StatusOr<const JDeweyList*> SegmentSetVersion::Resolve(
   if (mem != nullptr) parts.push_back(&mem->list);
   JDeweyList merged = MergeJDeweyParts(parts);
 
-  // tf -> normalized tf·idf with the corpus-global df and normalizer, one
-  // RawLocalScore per distinct tf.
+  // tf -> normalized tf·idf with the corpus-global df and normalizer.
   if (max_raw_ == 0.0) {
     max_raw_ = state_->MaxRaw(memtable_.get(), corpus_nodes_);
   }
-  const SealedSetState::TermGlobal global = state_->Global(term, mem);
-  std::vector<float> score_of(global.max_tf + 1);
-  std::vector<char> known(global.max_tf + 1, 0);
-  for (float& score : merged.scores) {
-    uint32_t tf = static_cast<uint32_t>(score);
-    if (tf >= known.size()) {  // a manifest max tf below a stored tf
-      score_of.resize(tf + 1);
-      known.resize(tf + 1, 0);
-    }
-    if (!known[tf]) {
-      double raw = RawLocalScore(tf, global.df, corpus_nodes_);
-      score_of[tf] = static_cast<float>(raw / max_raw_);
-      known[tf] = 1;
-    }
-    score = score_of[tf];
-  }
+  ScoreRawTfs(state_->Df(term, mem), corpus_nodes_, max_raw_,
+              &merged.scores);
 
   auto [it, inserted] = cache_.emplace(term, std::move(merged));
   (void)inserted;

@@ -160,14 +160,10 @@ class SealedSetState {
     return sealed_;
   }
 
-  /// Corpus-wide df (Σ rows) and max tf of `term` over the sealed
-  /// segments plus the memtable's entry `memtable_term` (may be null).
-  struct TermGlobal {
-    uint64_t df = 0;
-    uint32_t max_tf = 0;
-  };
-  TermGlobal Global(const std::string& term,
-                    const Memtable::Term* memtable_term) const;
+  /// Corpus-wide df (Σ rows) of `term` over the sealed segments plus the
+  /// memtable's entry `memtable_term` (may be null).
+  uint64_t Df(const std::string& term,
+              const Memtable::Term* memtable_term) const;
 
   /// The corpus-wide normalizer of a version over this sealed set plus
   /// `memtable`: the max of RawLocalScore(max_tf, df, corpus_nodes) over
@@ -215,7 +211,11 @@ class SealedSetState {
   mutable std::vector<std::pair<uint32_t, std::vector<uint32_t>>> frontier_;
   /// Sealed df / max tf of the terms a memtable over this set has held
   /// (zeros when no sealed segment holds the term).
-  mutable std::unordered_map<std::string, TermGlobal> memtable_terms_;
+  struct SealedFigures {
+    uint64_t df = 0;
+    uint32_t max_tf = 0;
+  };
+  mutable std::unordered_map<std::string, SealedFigures> memtable_terms_;
   struct MergedTerm {
     JDeweyList list;
     size_t fanout = 0;

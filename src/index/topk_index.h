@@ -58,7 +58,6 @@ class TopKIndex {
   uint64_t EncodedListBytes() const;
 
  private:
-  friend class IndexBuilder;
   friend TopKIndex BuildTopKIndexFrom(const JDeweyIndex& base);
 
   const JDeweyIndex* base_ = nullptr;

@@ -1,13 +1,5 @@
 #include "obs/exposition.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
-
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/slow_log.h"
@@ -30,7 +22,7 @@ std::string MakeResponse(const char* status, const char* content_type,
 
 }  // namespace
 
-std::string ExpositionServer::HandleRequest(std::string_view request_line) {
+std::string HandleRequest(std::string_view request_line) {
   // "GET <path> HTTP/1.x" — anything else is a 400.
   if (request_line.substr(0, 4) != "GET ") {
     XTOPK_COUNTER("obs.http.bad_requests").Add(1);
@@ -65,81 +57,6 @@ std::string ExpositionServer::HandleRequest(std::string_view request_line) {
     return MakeResponse("200 OK", "text/plain", "ok\n");
   }
   return MakeResponse("404 Not Found", "text/plain", "not found\n");
-}
-
-bool ExpositionServer::Start(std::string* error) {
-  if (running_.load(std::memory_order_acquire)) return true;
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    if (error != nullptr) *error = "socket() failed";
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    if (error != nullptr) *error = "bad bind address";
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    if (error != nullptr) *error = "bind/listen failed";
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { Serve(); });
-  LogEvent("exposition", "listening on port " + std::to_string(port_));
-  return true;
-}
-
-void ExpositionServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  if (thread_.joinable()) thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void ExpositionServer::Serve() {
-  while (running_.load(std::memory_order_acquire)) {
-    // Poll with a timeout so Stop() is noticed promptly even with no
-    // traffic.
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    char buffer[1024];
-    ssize_t n = ::recv(client, buffer, sizeof(buffer) - 1, 0);
-    if (n > 0) {
-      buffer[n] = '\0';
-      std::string_view request(buffer, static_cast<size_t>(n));
-      size_t eol = request.find("\r\n");
-      if (eol == std::string_view::npos) eol = request.find('\n');
-      std::string response = HandleRequest(
-          eol == std::string_view::npos ? request : request.substr(0, eol));
-      size_t sent = 0;
-      while (sent < response.size()) {
-        ssize_t w = ::send(client, response.data() + sent,
-                           response.size() - sent, 0);
-        if (w <= 0) break;
-        sent += static_cast<size_t>(w);
-      }
-    }
-    ::close(client);
-  }
 }
 
 }  // namespace obs

@@ -1,66 +1,24 @@
 #ifndef XTOPK_OBS_EXPOSITION_H_
 #define XTOPK_OBS_EXPOSITION_H_
 
-#include <atomic>
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <thread>
 
 namespace xtopk {
 namespace obs {
 
-/// Minimal single-threaded HTTP/1.0 exposition endpoint serving the live
-/// telemetry surface:
+/// The telemetry surface the serve port (serve::QueryServer) answers:
 ///   /metrics  Prometheus text format (cumulative + windowed gauges)
 ///   /vars     full JSON snapshot (counters, histograms, windows)
 ///   /slowlog  recent slow-query captures as a JSON array
 ///   /events   flight-recorder ring as JSON
 ///   /healthz  "ok"
 ///
-/// One accept loop on one background thread, one request per connection,
-/// loopback bind by default. This is an operations port, not a web server:
-/// no TLS, no keep-alive, no auth — keep it on localhost or behind a
-/// scraper that is.
-class ExpositionServer {
- public:
-  struct Options {
-    /// 0 picks an ephemeral port (tests); read it back with port().
-    uint16_t port = 0;
-    std::string bind_address = "127.0.0.1";
-  };
-
-  ExpositionServer() : ExpositionServer(Options()) {}
-  explicit ExpositionServer(Options options) : options_(options) {}
-  ~ExpositionServer() { Stop(); }
-
-  ExpositionServer(const ExpositionServer&) = delete;
-  ExpositionServer& operator=(const ExpositionServer&) = delete;
-
-  /// Binds, listens, and starts the accept thread. False (with the reason
-  /// in *error if given) when the bind fails.
-  bool Start(std::string* error = nullptr);
-  /// Stops the accept loop and joins the thread. Idempotent.
-  void Stop();
-
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  /// The bound port (resolves port 0 after Start).
-  uint16_t port() const { return port_; }
-
-  /// Pure request -> response mapping, exposed for unit tests (no socket
-  /// needed). `request_line` is e.g. "GET /metrics HTTP/1.0". Returns the
-  /// full HTTP response including status line and headers.
-  static std::string HandleRequest(std::string_view request_line);
-
- private:
-  void Serve();
-
-  Options options_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread thread_;
-};
+/// Pure request -> response mapping: `request_line` is e.g.
+/// "GET /metrics HTTP/1.0"; returns the full HTTP response including
+/// status line and headers (400 for anything but GET, 404 for an unknown
+/// path).
+std::string HandleRequest(std::string_view request_line);
 
 }  // namespace obs
 }  // namespace xtopk

@@ -96,13 +96,14 @@ SlowQueryLog& SlowQueryLog::Global() {
 }
 
 void SlowQueryLog::Record(const SlowQueryCapture& capture) {
-  std::string line = capture.ToJsonLine();
-  line.push_back('\n');
   {
     std::lock_guard<std::mutex> lock(mu_);
     recent_.push_back(capture);
     while (recent_.size() > options_.memory_entries) recent_.pop_front();
+    // The ring keeps the capture itself; only the file needs its JSON line.
     if (!options_.path.empty()) {
+      std::string line = capture.ToJsonLine();
+      line.push_back('\n');
       const char* mode = "a";
       if (file_bytes_ + line.size() > options_.max_file_bytes) {
         // Bounded file: truncate and restart rather than grow forever. The

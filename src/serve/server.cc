@@ -341,7 +341,7 @@ void QueryServer::DispatchHttp(Connection* conn,
   // /metrics, /vars, /slowlog, /events, /healthz — and 400/404 for the
   // rest — come from the shared exposition handler.
   conn->close_after_write = true;
-  QueueWrite(conn, obs::ExpositionServer::HandleRequest(request_line));
+  QueueWrite(conn, obs::HandleRequest(request_line));
 }
 
 bool QueryServer::HandleReadable(Connection* conn) {

@@ -16,10 +16,9 @@ namespace xtopk {
 namespace serve {
 
 /// The network front of the query service: one event-loop thread
-/// multiplexing every connection (epoll on Linux, poll everywhere else —
-/// same fallback split obs::ExpositionServer uses), nonblocking sockets,
-/// and a QueryService behind it doing admission, shedding, deadlines, and
-/// execution on its worker pool.
+/// multiplexing every connection (epoll on Linux, poll everywhere else),
+/// nonblocking sockets, and a QueryService behind it doing admission,
+/// shedding, deadlines, and execution on its worker pool.
 ///
 /// Two dialects share the port, distinguished by the first bytes of each
 /// connection:
@@ -28,8 +27,8 @@ namespace serve {
 ///    request_id;
 ///  - HTTP/1.0 ("GET ..."): one request per connection. GET /search runs
 ///    a query and returns JSON; every other GET path is delegated to
-///    obs::ExpositionServer::HandleRequest, so /metrics, /vars, /slowlog,
-///    /events and /healthz work on the serve port too.
+///    obs::HandleRequest, so /metrics, /vars, /slowlog, /events and
+///    /healthz are served here, the one telemetry port.
 ///
 /// Worker completions marshal back to the event loop through a completion
 /// queue and a self-pipe wakeup; connections are addressed by a

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "index/segment.h"
 #include "index/segment_builder.h"
 #include "testing/corpus.h"
 #include "xml/jdewey_builder.h"
@@ -238,6 +243,66 @@ TEST_F(IndexBuilderTest, TagTokensCanBeDisabled) {
   JDeweyIndex index = builder.BuildJDeweyIndex();
   EXPECT_EQ(index.Frequency("title"), 0u);
   EXPECT_EQ(index.Frequency("xml"), 4u);
+}
+
+TEST_F(IndexBuilderTest, NodeIdsOutOfDocumentOrder) {
+  // Nodes appended under earlier parents get ids past nodes that follow
+  // them in document order.
+  XmlTree tree = MakeSmallCorpus();
+  NodeId early = tree.AddChild(Ids::kPaper0, "note");
+  tree.AppendText(early, "xml data xml");
+  tree.AppendText(tree.AddChild(Ids::kConf0, "paper"), "data");
+  tree.AppendText(tree.AddChild(early, "cite"), "xml");
+  IndexBuilder builder(tree);
+  const JDeweyIndex& index = builder.jdewey_index();
+  const JDeweyEncoding& enc = builder.jdewey_encoding();
+
+  const JDeweyList* xml = index.GetList("xml");
+  ASSERT_NE(xml, nullptr);
+  EXPECT_FALSE(std::is_sorted(xml->nodes.begin(), xml->nodes.end()));
+  for (const std::string& term : index.terms()) {
+    const JDeweyList* list = index.GetList(term);
+    for (uint32_t row = 0; row < list->num_rows(); ++row) {
+      EXPECT_EQ(list->SequenceOf(row), enc.SequenceOf(tree, list->nodes[row]));
+      if (row > 0) {
+        EXPECT_LT(CompareJDewey(list->SequenceOf(row - 1),
+                                list->SequenceOf(row)),
+                  0)
+            << term;
+      }
+    }
+  }
+
+  DeweyIndex dewey = builder.BuildDeweyIndex();
+  for (const std::string& term : index.terms()) {
+    const DeweyList* list = dewey.GetList(term);
+    EXPECT_EQ(list->nodes, index.GetList(term)->nodes) << term;
+    for (uint32_t row = 1; row < list->num_rows(); ++row) {
+      EXPECT_LT(list->deweys[row - 1].Compare(list->deweys[row]), 0) << term;
+    }
+  }
+
+  // Two segments over the same encoding score every row as the builder
+  // does.
+  std::vector<NodeId> even, odd;
+  for (NodeId id = 0; id < tree.node_count(); ++id) {
+    (id % 2 == 0 ? even : odd).push_back(id);
+  }
+  SegmentedIndex segmented;
+  segmented.SetCorpusNodes(tree.node_count());
+  for (const auto* part : {&even, &odd}) {
+    segmented.AddMemorySegment(
+        BuildSegmentIndex(tree, enc, *part, IndexBuildOptions{}),
+        part->size());
+  }
+  SegmentSetReader reader(segmented.Pin());
+  for (const std::string& term : index.terms()) {
+    auto got = reader.Resolve(term, UINT32_MAX, true, nullptr);
+    ASSERT_TRUE(got.ok());
+    ASSERT_NE(*got, nullptr);
+    EXPECT_EQ((*got)->scores, index.GetList(term)->scores) << term;
+    EXPECT_EQ((*got)->nodes, index.GetList(term)->nodes) << term;
+  }
 }
 
 TEST_F(IndexBuilderTest, EncodedSizesOrdered) {

@@ -68,34 +68,37 @@ TEST(SegmentedIndexTest, MergedListsMatchMonolithicBuild) {
   JDeweyEncoding enc = JDeweyBuilder::Assign(tree, options.jdewey_gap);
 
   IndexBuilder builder(tree, options);
-  JDeweyIndex monolithic = builder.BuildJDeweyIndex();
+  const JDeweyIndex& monolithic = builder.jdewey_index();
 
-  SegmentedIndex segmented;
-  segmented.SetCorpusNodes(tree.node_count());
-  for (const auto& group : Partition(tree, 3)) {
-    segmented.AddMemorySegment(BuildSegmentIndex(tree, enc, group, options),
-                               group.size());
-  }
-  EXPECT_EQ(segmented.sealed_count(), 3u);
-
-  SegmentSetReader reader(segmented.Pin());
-  for (const TermInfo& info : builder.terms()) {
-    EXPECT_EQ(reader.Frequency(info.term), info.frequency);
-    const JDeweyList* want = monolithic.GetList(info.term);
-    ASSERT_NE(want, nullptr);
-    auto got = reader.Resolve(info.term, UINT32_MAX, true, nullptr);
-    ASSERT_TRUE(got.ok());
-    ASSERT_NE(*got, nullptr);
-    ExpectListsEqual(**got, *want, info.term);
-    // Node backfill: every merged row resolves to the same node.
-    for (uint32_t r = 0; r < want->num_rows(); ++r) {
-      EXPECT_EQ((*got)->nodes[r], want->nodes[r]) << info.term;
+  // One part: the in-memory index is exactly a one-segment resolve.
+  for (size_t parts : {1u, 3u}) {
+    SegmentedIndex segmented;
+    segmented.SetCorpusNodes(tree.node_count());
+    for (const auto& group : Partition(tree, parts)) {
+      segmented.AddMemorySegment(BuildSegmentIndex(tree, enc, group, options),
+                                 group.size());
     }
+    EXPECT_EQ(segmented.sealed_count(), parts);
+
+    SegmentSetReader reader(segmented.Pin());
+    for (const TermInfo& info : builder.terms()) {
+      EXPECT_EQ(reader.Frequency(info.term), info.frequency);
+      const JDeweyList* want = monolithic.GetList(info.term);
+      ASSERT_NE(want, nullptr);
+      auto got = reader.Resolve(info.term, UINT32_MAX, true, nullptr);
+      ASSERT_TRUE(got.ok());
+      ASSERT_NE(*got, nullptr);
+      ExpectListsEqual(**got, *want, info.term);
+      // Node backfill: every merged row resolves to the same node.
+      for (uint32_t r = 0; r < want->num_rows(); ++r) {
+        EXPECT_EQ((*got)->nodes[r], want->nodes[r]) << info.term;
+      }
+    }
+    EXPECT_EQ(reader.max_level(), monolithic.max_level());
+    auto missing = reader.Resolve("zebra", UINT32_MAX, true, nullptr);
+    ASSERT_TRUE(missing.ok());
+    EXPECT_EQ(*missing, nullptr);
   }
-  EXPECT_EQ(reader.max_level(), monolithic.max_level());
-  auto missing = reader.Resolve("zebra", UINT32_MAX, true, nullptr);
-  ASSERT_TRUE(missing.ok());
-  EXPECT_EQ(*missing, nullptr);
 }
 
 TEST(SegmentedIndexTest, MemtableParticipatesInMergeAndFrequencies) {

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/updatable_engine.h"
+#include "obs/slow_log.h"
 #include "storage/page_file.h"
 #include "xml/xml_parser.h"
 
@@ -121,6 +125,24 @@ TEST(AccountingTest, ResultFingerprintIsStableAndDiscriminating) {
   auto c = engine.Search({"xml"});
   EXPECT_NE(ResultFingerprint(a), ResultFingerprint(c));
   EXPECT_EQ(ResultFingerprint({}), ResultFingerprint({}));
+}
+
+TEST(AccountingTest, ResultFingerprintFormatsScoresAsPrintfG9) {
+  // The digest's bytes are "node:level:score;" with the score as %.9g, so
+  // captures recorded by any build replay against any other.
+  std::vector<QueryHit> hits;
+  std::string blob;
+  char buf[64];
+  uint32_t node = 0;
+  for (double score : {0.0, 1.0, 0.1, 1.0 / 3.0, 2.5e-7, 123456789.5,
+                       1e21, 0.987654321987, 5e-324, -0.75}) {
+    hits.push_back(QueryHit{node, node % 7 + 1, score, "", ""});
+    std::snprintf(buf, sizeof(buf), "%u:%u:%.9g;", node, node % 7 + 1,
+                  score);
+    blob += buf;
+    node = node * 31 + 4000000007u;
+  }
+  EXPECT_EQ(ResultFingerprint(hits), obs::FingerprintHex(blob));
 }
 
 TEST(AccountingTest, PageReadsAttributeToTheActiveScope) {

@@ -1,10 +1,5 @@
 #include "obs/exposition.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,93 +12,34 @@ namespace xtopk {
 namespace obs {
 namespace {
 
-std::string Fetch(uint16_t port, const std::string& request) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  EXPECT_GT(::send(fd, request.data(), request.size(), 0), 0);
-  std::string response;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
-    response.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
 TEST(ExpositionTest, HandleRequestRoutes) {
   XTOPK_COUNTER("test.exposition.requests_seen").Add(3);
-  std::string metrics = ExpositionServer::HandleRequest("GET /metrics HTTP/1.0");
+  std::string metrics = HandleRequest("GET /metrics HTTP/1.0");
   EXPECT_EQ(metrics.find("HTTP/1.0 200 OK"), 0u);
   EXPECT_NE(metrics.find("test_exposition_requests_seen"), std::string::npos);
 
-  std::string vars = ExpositionServer::HandleRequest("GET /vars HTTP/1.0");
+  std::string vars = HandleRequest("GET /vars HTTP/1.0");
   EXPECT_NE(vars.find("application/json"), std::string::npos);
   EXPECT_NE(vars.find("\"counters\""), std::string::npos);
   EXPECT_NE(vars.find("\"windows\""), std::string::npos);
 
-  std::string slowlog = ExpositionServer::HandleRequest("GET /slowlog HTTP/1.0");
+  std::string slowlog = HandleRequest("GET /slowlog HTTP/1.0");
   EXPECT_NE(slowlog.find("\"slow_queries\""), std::string::npos);
 
-  std::string events = ExpositionServer::HandleRequest("GET /events HTTP/1.0");
+  std::string events = HandleRequest("GET /events HTTP/1.0");
   EXPECT_NE(events.find("\"events\""), std::string::npos);
 
-  EXPECT_NE(ExpositionServer::HandleRequest("GET /healthz HTTP/1.0").find("ok"),
+  EXPECT_NE(HandleRequest("GET /healthz HTTP/1.0").find("ok"),
             std::string::npos);
   EXPECT_EQ(
-      ExpositionServer::HandleRequest("GET /nope HTTP/1.0").find("404"), 9u);
-  EXPECT_NE(ExpositionServer::HandleRequest("POST /metrics HTTP/1.0")
+      HandleRequest("GET /nope HTTP/1.0").find("404"), 9u);
+  EXPECT_NE(HandleRequest("POST /metrics HTTP/1.0")
                 .find("400 Bad Request"),
             std::string::npos);
   // Query strings are ignored, not 404ed.
   EXPECT_EQ(
-      ExpositionServer::HandleRequest("GET /healthz?x=1 HTTP/1.0").find("HTTP/1.0 200"),
+      HandleRequest("GET /healthz?x=1 HTTP/1.0").find("HTTP/1.0 200"),
       0u);
-}
-
-TEST(ExpositionTest, ServesOverARealSocket) {
-  ExpositionServer::Options options;
-  options.port = 0;  // ephemeral
-  ExpositionServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  ASSERT_GT(server.port(), 0);
-
-  XTOPK_COUNTER("test.exposition.live").Add(1);
-  std::string metrics = Fetch(server.port(), "GET /metrics HTTP/1.0\r\n\r\n");
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("test_exposition_live"), std::string::npos);
-  EXPECT_NE(metrics.find("# TYPE"), std::string::npos);
-
-  std::string vars = Fetch(server.port(), "GET /vars HTTP/1.0\r\n\r\n");
-  EXPECT_NE(vars.find("\"histograms\""), std::string::npos);
-
-  std::string health = Fetch(server.port(), "GET /healthz HTTP/1.0\r\n\r\n");
-  EXPECT_NE(health.find("ok"), std::string::npos);
-
-  std::string missing = Fetch(server.port(), "GET /missing HTTP/1.0\r\n\r\n");
-  EXPECT_NE(missing.find("404"), std::string::npos);
-
-  server.Stop();
-  EXPECT_FALSE(server.running());
-}
-
-TEST(ExpositionTest, StopIsIdempotentAndRestartable) {
-  ExpositionServer server;
-  ASSERT_TRUE(server.Start());
-  uint16_t first_port = server.port();
-  EXPECT_GT(first_port, 0);
-  server.Stop();
-  server.Stop();  // no-op
-  ASSERT_TRUE(server.Start());
-  EXPECT_GT(server.port(), 0);
-  server.Stop();
 }
 
 }  // namespace

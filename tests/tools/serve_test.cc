@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -261,6 +262,33 @@ TEST(ServeHttp, SearchReturnsJsonAndTelemetrySurfaceAnswers) {
                   .ok());
   EXPECT_EQ(http_status, 400);
   EXPECT_NE(body.find("\"status\":\"bad_request\""), std::string::npos);
+}
+
+// The serve port is the one telemetry port: live metrics over a real
+// socket, the histograms snapshot, and a 404 for an unknown path.
+TEST(ServeHttp, TelemetryEndpointsOverTheServePort) {
+  ServeHarness harness(MakeSmallCorpus());
+  ASSERT_TRUE(harness.started());
+  XTOPK_COUNTER("test.serve.telemetry_live").Add(1);
+  int http_status = 0;
+  std::string body;
+  ASSERT_TRUE(Client::HttpGet("127.0.0.1", harness.port(), "/metrics",
+                              &http_status, &body)
+                  .ok());
+  EXPECT_EQ(http_status, 200);
+  EXPECT_NE(body.find("test_serve_telemetry_live"), std::string::npos);
+  EXPECT_NE(body.find("# TYPE"), std::string::npos);
+
+  ASSERT_TRUE(Client::HttpGet("127.0.0.1", harness.port(), "/vars",
+                              &http_status, &body)
+                  .ok());
+  EXPECT_EQ(http_status, 200);
+  EXPECT_NE(body.find("\"histograms\""), std::string::npos);
+
+  ASSERT_TRUE(Client::HttpGet("127.0.0.1", harness.port(), "/missing",
+                              &http_status, &body)
+                  .ok());
+  EXPECT_EQ(http_status, 404);
 }
 
 // The poll() fallback event loop must behave exactly like the epoll path.

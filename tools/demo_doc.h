@@ -6,7 +6,7 @@
 namespace xtopk_tools {
 
 // The built-in demo document shared by the profiling/telemetry CLIs
-// (xtopk_profile, xtopk_replay, xtopk_statsd): a generated bibliography
+// (xtopk_profile, xtopk_replay, xtopk_serve): a generated bibliography
 // large enough that a query's wall time is dominated by actual search work
 // (tiny toy documents would profile the tracer, not the engine). Fully
 // deterministic, so replay fingerprints recorded against it are stable.
