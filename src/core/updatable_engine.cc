@@ -326,7 +326,7 @@ void UpdatableEngine::RefreshMemtable() {
     std::vector<NodeId> nodes = NodeRange(memtable_upto_, count);
     memtable_ = Memtable::Extend(
         memtable_, BuildSegmentIndex(tree_, encoding_, nodes, options_.index),
-        options_.index.stats_buckets);
+        options_.index.stats_buckets, *segments_.Pin()->state());
     memtable_upto_ = static_cast<NodeId>(count);
     XTOPK_COUNTER("index.memtable_nodes_indexed").Add(nodes.size());
   }

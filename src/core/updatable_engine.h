@@ -150,6 +150,10 @@ class UpdatableEngine {
   const std::shared_ptr<const Memtable>& memtable() const { return memtable_; }
   /// The maintained JDewey encoding every segment is numbered by.
   const JDeweyEncoding& encoding() const { return encoding_; }
+  /// The published segment-set version, as the next query pins it.
+  std::shared_ptr<const SegmentSetVersion> Pin() const {
+    return segments_.Pin();
+  }
 
   /// Whether this engine was opened by OpenDurable.
   bool durable() const { return log_ != nullptr; }

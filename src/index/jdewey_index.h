@@ -24,13 +24,13 @@ struct DagListData;
 /// Rows are keyword occurrences sorted by JDewey sequence; column `l` holds
 /// S(l) of every row whose sequence reaches level l, run-length encoded
 /// (storage/column.h). Each row also carries the occurrence's sequence
-/// length, its local ranking score g(v, w), and (in memory only) the
-/// occurrence's NodeId for materializing results and cross-checking against
-/// oracles.
+/// length, its local ranking score g(v, w) and, from a build, its NodeId.
 struct JDeweyList {
   std::vector<uint16_t> lengths;  ///< Per row: |S| (level of the occurrence).
   std::vector<float> scores;      ///< Per row: local score g(v, w).
-  std::vector<NodeId> nodes;      ///< Per row: occurrence node.
+  /// Per row: occurrence node. Filled by in-memory builds only; empty on
+  /// segment-path lists (merged, memtable and disk-loaded).
+  std::vector<NodeId> nodes;
   std::vector<Column> columns;    ///< columns[l-1] holds level l.
   uint32_t max_length = 0;        ///< Deepest occurrence level.
   /// Structure-aware compression companion (DESIGN.md §15): per-level

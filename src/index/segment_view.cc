@@ -92,7 +92,7 @@ uint32_t SealedSegment::max_level() const {
 
 std::shared_ptr<const Memtable> Memtable::Extend(
     const std::shared_ptr<const Memtable>& predecessor, JDeweyIndex delta,
-    size_t stats_buckets) {
+    size_t stats_buckets, const SealedSetState& sealed) {
   auto next = std::make_shared<Memtable>();
   const Memtable empty;
   const Memtable& prev = predecessor != nullptr ? *predecessor : empty;
@@ -113,21 +113,40 @@ std::shared_ptr<const Memtable> Memtable::Extend(
       next->terms_.push_back(prev.terms_[i++]);
     }
     auto entry = std::make_shared<Term>();
-    if (i < prev.terms_.size() && prev.terms_[i]->term == terms[t]) {
-      const Term& had = *prev.terms_[i++];
-      entry->list = MergeJDeweyParts({&had.list, &lists[t]});
+    const bool held =
+        i < prev.terms_.size() && prev.terms_[i]->term == terms[t];
+    entry->corpus = held ? prev.terms_[i]->corpus : sealed.Figures(terms[t]);
+    entry->corpus.df += lists[t].num_rows();
+    entry->corpus.max_tf = std::max(entry->corpus.max_tf, MaxTf(lists[t]));
+    if (held) {
+      entry->list = MergeJDeweyParts({&prev.terms_[i++]->list, &lists[t]});
       entry->stats = ComputeListStats(entry->list, stats_buckets);
-      entry->max_tf = std::max(had.max_tf, MaxTf(lists[t]));
     } else {
       entry->list = std::move(lists[t]);
+      entry->list.nodes = {};
       entry->stats = std::move(stats[t]);
-      entry->max_tf = MaxTf(entry->list);
     }
     entry->term = std::move(terms[t]);
     next->terms_.push_back(std::move(entry));
   }
   next->terms_.insert(next->terms_.end(), prev.terms_.begin() + i,
                       prev.terms_.end());
+
+  // The frontier, as a staircase: a pair joins unless a point of equal or
+  // larger max tf has equal or smaller df, and evicts the points it beats.
+  std::vector<TermFigures>& frontier = next->frontier_;
+  for (const auto& entry : next->terms_) {
+    const TermFigures pair = entry->corpus;
+    auto above = std::lower_bound(
+        frontier.begin(), frontier.end(), pair.max_tf,
+        [](const TermFigures& f, uint32_t tf) { return f.max_tf < tf; });
+    if (above != frontier.end() && above->df <= pair.df) continue;
+    auto beaten = std::lower_bound(
+        frontier.begin(), above, pair.df,
+        [](const TermFigures& f, uint64_t df) { return f.df < df; });
+    if (above != frontier.end() && above->max_tf == pair.max_tf) ++above;
+    frontier.insert(frontier.erase(beaten, above), pair);
+  }
 
   // Both node sets' (level, value) -> node pairs; shared ancestors appear
   // in both with identical pairs.
@@ -226,48 +245,37 @@ const SealedSetState::TermEntry* SealedSetState::FindLocked(
   return it != terms_.end() && *it->term == term ? &*it : nullptr;
 }
 
-uint64_t SealedSetState::Df(const std::string& term,
-                            const Memtable::Term* memtable_term) const {
-  uint64_t df = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const TermEntry* entry = FindLocked(term);
-    if (entry != nullptr) df = entry->df;
-  }
-  if (memtable_term != nullptr) df += memtable_term->list.num_rows();
-  return df;
+TermFigures SealedSetState::Figures(const std::string& term) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const TermEntry* entry = FindLocked(term);
+  return entry != nullptr ? TermFigures{entry->df, entry->max_tf}
+                          : TermFigures{};
 }
 
 double SealedSetState::MaxRaw(const Memtable* memtable,
                               uint64_t corpus_nodes) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LoadTermsLocked();
   // RawLocalScore is monotone in tf for a fixed df, so each term's max
   // raw score is attained at its max tf, and the normalizer is the max
   // over terms — exactly the max a monolithic build takes over every
-  // occurrence. Terms the memtable holds take their corpus-wide df and
-  // max tf...
+  // occurrence. It is also non-increasing in df for a fixed tf, even in
+  // floating point (distinct integer dfs put log's arguments far more
+  // than an ulp apart), so a term another matches or beats in both never
+  // sets the max. Terms the memtable holds take their corpus-wide figures
+  // from its frontier...
   double max_raw = 0.0;
+  uint64_t scanned = memtable != nullptr ? memtable->frontier().size() : 0;
   if (memtable != nullptr) {
-    // Successive memtables of one sealed set share most of their terms,
-    // so each term's sealed figures are searched for once and kept.
-    for (const auto& term : memtable->terms()) {
-      auto [seen, inserted] = memtable_terms_.try_emplace(term->term);
-      if (inserted) {
-        const TermEntry* entry = FindLocked(term->term);
-        if (entry != nullptr) seen->second = {entry->df, entry->max_tf};
-      }
-      uint64_t df = term->list.num_rows() + seen->second.df;
-      uint32_t max_tf = std::max(term->max_tf, seen->second.max_tf);
-      max_raw = std::max(max_raw, RawLocalScore(max_tf, df, corpus_nodes));
+    for (const TermFigures& f : memtable->frontier()) {
+      max_raw = std::max(max_raw, RawLocalScore(f.max_tf, f.df, corpus_nodes));
     }
   }
-  // ...the others their sealed ones. RawLocalScore is also non-increasing
-  // in df for a fixed tf, even in floating point (distinct integer dfs
-  // put log's arguments far more than an ulp apart), so per max tf only
-  // the least-df term the memtable does not hold can reach the max.
+  // ...the others their sealed ones: per max tf only the least-df term
+  // the memtable does not hold can reach the max.
+  std::lock_guard<std::mutex> lock(mu_);
+  LoadTermsLocked();
   for (const auto& [max_tf, by_df] : frontier_) {
     for (uint32_t i : by_df) {
+      ++scanned;
       const TermEntry& entry = terms_[i];
       if (memtable != nullptr && memtable->Find(*entry.term) != nullptr) {
         continue;
@@ -277,6 +285,7 @@ double SealedSetState::MaxRaw(const Memtable* memtable,
       break;
     }
   }
+  XTOPK_COUNTER("index.max_raw_terms_scanned").Add(scanned);
   return max_raw > 0.0 ? max_raw : 1.0;
 }
 
@@ -313,22 +322,6 @@ StatusOr<const JDeweyList*> SealedSetState::MergedList(
   if (parts.empty()) return static_cast<const JDeweyList*>(nullptr);
   merged.list = MergeJDeweyParts(parts);
   sessions.clear();
-
-  // Rows that came from disk segments carry no NodeId; the (level, value)
-  // mapping recovers them. A row's own-level value is the run of that
-  // level's column holding the row, and rows ascend, so one cursor per
-  // level finds it without a search.
-  JDeweyList& list = merged.list;
-  std::vector<size_t> at(list.columns.size(), 0);
-  for (uint32_t row = 0; row < list.num_rows(); ++row) {
-    if (list.nodes[row] != kInvalidNode) continue;
-    uint16_t level = list.lengths[row];
-    const std::vector<Run>& runs = list.columns[level - 1].runs();
-    size_t& i = at[level - 1];
-    while (runs[i].end_row() <= row) ++i;
-    list.nodes[row] = NodeAt(level, runs[i].value);
-  }
-
   XTOPK_COUNTER("index.sealed_list_merges").Add(1);
   auto [it, inserted] = lists_.emplace(term, std::move(merged));
   (void)inserted;
@@ -455,8 +448,8 @@ StatusOr<const JDeweyList*> SegmentSetVersion::Resolve(
   if (max_raw_ == 0.0) {
     max_raw_ = state_->MaxRaw(memtable_.get(), corpus_nodes_);
   }
-  ScoreRawTfs(state_->Df(term, mem), corpus_nodes_, max_raw_,
-              &merged.scores);
+  uint64_t df = mem != nullptr ? mem->corpus.df : state_->Figures(term).df;
+  ScoreRawTfs(df, corpus_nodes_, max_raw_, &merged.scores);
 
   auto [it, inserted] = cache_.emplace(term, std::move(merged));
   (void)inserted;
@@ -517,13 +510,6 @@ class MergeInput {
               merged->lengths.begin() + out);
     std::copy(list_->scores.begin() + begin, list_->scores.begin() + end,
               merged->scores.begin() + out);
-    uint32_t with_nodes =
-        std::min(end, static_cast<uint32_t>(list_->nodes.size()));
-    if (begin < with_nodes) {
-      std::copy(list_->nodes.begin() + begin,
-                list_->nodes.begin() + with_nodes,
-                merged->nodes.begin() + out);
-    }
     for (size_t l = 0; l < list_->columns.size(); ++l) {
       const std::vector<Run>& runs = list_->columns[l].runs();
       size_t& i = copy_at_[l];
@@ -571,7 +557,6 @@ JDeweyList MergeJDeweyParts(const std::vector<const JDeweyList*>& parts) {
   JDeweyList merged;
   merged.lengths.resize(total);
   merged.scores.resize(total);
-  merged.nodes.assign(total, kInvalidNode);
   merged.columns.resize(levels);
   for (size_t l = 0; l < levels; ++l) {
     size_t runs = 0;

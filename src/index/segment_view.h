@@ -92,31 +92,45 @@ class SealedSegment {
   mutable std::atomic<bool> superseded_{false};
 };
 
+class SealedSetState;
+
+/// A term's document frequency (rows) and largest raw tf.
+struct TermFigures {
+  uint64_t df = 0;
+  uint32_t max_tf = 0;
+};
+
 /// The memtable (DESIGN.md §10): the raw-tf lists of the nodes above the
 /// sealed watermark. Immutable; a refresh builds the next one as
 /// predecessor ⊕ delta, where the delta indexes only the nodes added since
 /// the predecessor. A term the delta does not touch keeps the
 /// predecessor's entry by pointer, so neither building nor releasing a
-/// memtable visits the rows of terms its new documents lack.
+/// memtable visits the rows of terms its new documents lack. Lists carry
+/// no NodeIds: rows map to nodes through NodeAt.
 class Memtable {
  public:
-  /// One term: its raw-tf list, planner statistics and max tf, all fixed
-  /// when the entry is built.
+  /// One term: its corpus-wide figures, raw-tf list and planner
+  /// statistics, all fixed when the entry is built.
   struct Term {
+    /// The sealed set's figures, read when the term enters the memtable
+    /// (compaction keeps them; a seal or rebuild starts a new memtable),
+    /// plus the memtable's. First: the frontier pass reads only this,
+    /// beside the entry's refcount.
+    TermFigures corpus;
     std::string term;
     JDeweyList list;
     TermStats stats;
-    uint32_t max_tf = 0;
   };
 
   /// `predecessor` (null: empty) ⊕ `delta`. `delta` must be a
   /// BuildSegmentIndex over nodes disjoint from the predecessor's, under
   /// the encoding the predecessor was built with. A term in both is merged
   /// (MergeJDeweyParts) and its statistics recomputed with `stats_buckets`,
-  /// so the result equals one BuildSegmentIndex over both node sets.
+  /// so the result equals one BuildSegmentIndex over both node sets. New
+  /// entries read their sealed figures from `sealed`.
   static std::shared_ptr<const Memtable> Extend(
       const std::shared_ptr<const Memtable>& predecessor, JDeweyIndex delta,
-      size_t stats_buckets);
+      size_t stats_buckets, const SealedSetState& sealed);
 
   /// `term`'s entry (binary search), or nullptr when no row holds it.
   const Term* Find(const std::string& term) const;
@@ -130,9 +144,13 @@ class Memtable {
   uint32_t max_level() const {
     return static_cast<uint32_t>(level_nodes_.size());
   }
+  /// The Pareto frontier of the entries' corpus figures, both ascending:
+  /// each entry has a point of no smaller max tf and no larger df.
+  const std::vector<TermFigures>& frontier() const { return frontier_; }
 
  private:
   std::vector<std::shared_ptr<const Term>> terms_;
+  std::vector<TermFigures> frontier_;
   /// Per level (1-based), (value, node) pairs sorted by value.
   std::vector<std::vector<std::pair<uint32_t, NodeId>>> level_nodes_;
 };
@@ -145,7 +163,7 @@ class Memtable {
 /// It dies with the last version over its sealed set.
 ///
 /// Everything is filled lazily behind one internal mutex: the sealed
-/// per-term df / max tf (read from the sorted manifests), the exact
+/// per-term df / max tf (read from the sorted manifests), the sealed
 /// max-raw frontier, each queried term's merged sealed list and its
 /// sealed planner statistics. Handed-out pointers are node-stable and
 /// live as long as the state.
@@ -160,23 +178,22 @@ class SealedSetState {
     return sealed_;
   }
 
-  /// Corpus-wide df (Σ rows) of `term` over the sealed segments plus the
-  /// memtable's entry `memtable_term` (may be null).
-  uint64_t Df(const std::string& term,
-              const Memtable::Term* memtable_term) const;
+  /// `term`'s df (Σ rows) and max tf over the sealed segments; zeros
+  /// when none holds it.
+  TermFigures Figures(const std::string& term) const;
 
   /// The corpus-wide normalizer of a version over this sealed set plus
   /// `memtable`: the max of RawLocalScore(max_tf, df, corpus_nodes) over
   /// every term, 1.0 when that is not positive. Exact (the same double a
-  /// scan of every term gives) without visiting the sealed-only terms:
-  /// per distinct sealed max tf, the sealed-only term of least df scores
-  /// highest, so only the first one the memtable does not hold counts.
+  /// scan of every term gives) from the memtable's frontier plus, per
+  /// distinct sealed max tf, the least-df term the memtable does not hold.
+  /// Counter `index.max_raw_terms_scanned`: the entries of both visited.
   double MaxRaw(const Memtable* memtable, uint64_t corpus_nodes) const;
 
-  /// `term`'s sealed parts merged into one list (raw tf, every row's
-  /// NodeId filled), or nullptr when no sealed segment holds it. Merged
-  /// once per sealed set (counter `index.sealed_list_merges`). `fanout`
-  /// receives the number of sealed segments holding the term.
+  /// `term`'s sealed parts merged into one list (raw tf, no NodeIds), or
+  /// nullptr when no sealed segment holds it. Merged once per sealed set
+  /// (counter `index.sealed_list_merges`). `fanout` receives the number of
+  /// sealed segments holding the term.
   StatusOr<const JDeweyList*> MergedList(const std::string& term,
                                          size_t* fanout) const;
 
@@ -209,13 +226,6 @@ class SealedSetState {
   /// Per distinct max tf, ascending: the terms_ indices of that max tf in
   /// ascending df order.
   mutable std::vector<std::pair<uint32_t, std::vector<uint32_t>>> frontier_;
-  /// Sealed df / max tf of the terms a memtable over this set has held
-  /// (zeros when no sealed segment holds the term).
-  struct SealedFigures {
-    uint64_t df = 0;
-    uint32_t max_tf = 0;
-  };
-  mutable std::unordered_map<std::string, SealedFigures> memtable_terms_;
   struct MergedTerm {
     JDeweyList list;
     size_t fanout = 0;
@@ -331,13 +341,13 @@ class SegmentSetReader : public TermSource {
 };
 
 /// K-way merge of per-segment rows of one term by JDewey sequence into a
-/// single list (raw scores and NodeIds copied through untouched; rows
-/// without a NodeId get kInvalidNode). The parts must cover disjoint
-/// node sets of one tree under one encoding. Streams over per-level run
-/// cursors: a stretch of one part that sorts before every other part's
-/// next row is copied as runs, which coalesce at the seams, so parts
-/// that do not overlap in key range (every seal covers later documents)
-/// cost one pass over their runs.
+/// single list (raw scores copied through untouched, NodeIds left out:
+/// the segment path maps rows to nodes through NodeAt). The parts must
+/// cover disjoint node sets of one tree under one encoding. Streams over
+/// per-level run cursors: a stretch of one part that sorts before every
+/// other part's next row is copied as runs, which coalesce at the seams,
+/// so parts that do not overlap in key range (every seal covers later
+/// documents) cost one pass over their runs.
 JDeweyList MergeJDeweyParts(const std::vector<const JDeweyList*>& parts);
 
 /// Merges `inputs` into one raw-tf JDeweyIndex (term lists k-way merged,

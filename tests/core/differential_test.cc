@@ -194,10 +194,10 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnSeededCorpus) {
   }
   std::shared_ptr<const Memtable> memtable = Memtable::Extend(
       nullptr, BuildSegmentIndex(tree, enc, first, build_options),
-      build_options.stats_buckets);
+      build_options.stats_buckets, *segmented.Pin()->state());
   memtable = Memtable::Extend(
       memtable, BuildSegmentIndex(tree, enc, second, build_options),
-      build_options.stats_buckets);
+      build_options.stats_buckets, *segmented.Pin()->state());
   segmented.SetMemtable(memtable, tree.node_count());
   std::vector<std::vector<SearchResult>> segmented_complete;
 

@@ -98,7 +98,7 @@ TEST_P(PlannerCorrectnessTest, PlannedEqualsHeuristicOnEveryBackend) {
   segmented.SetMemtable(
       Memtable::Extend(
           nullptr, BuildSegmentIndex(tree, enc, groups.back(), build_options),
-          build_options.stats_buckets),
+          build_options.stats_buckets, *segmented.Pin()->state()),
       tree.node_count());
 
   for (size_t qi = 0; qi < workload.size(); ++qi) {

@@ -2,8 +2,9 @@
 // replaced, kept here as the oracle. On the differential corpora, split
 // interleaved, in contiguous ranges, with empty parts, as one part and as
 // sealed parts followed by a memtable, both merges give identical lists
-// (lengths, scores, nodes, runs); and a compacted segment's image is
-// byte-identical whichever merge built its lists.
+// (lengths, scores, runs, no NodeIds) whose rows map through the parts'
+// (level, value) lookups to the monolithic list's nodes; and a compacted
+// segment's image is byte-identical whichever merge built its lists.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -28,7 +29,8 @@ namespace xtopk {
 namespace {
 
 /// The merge MergeJDeweyParts replaced: materialize every row's JDewey
-/// sequence, sort all rows, then append them one by one.
+/// sequence, sort all rows, then append them one by one (NodeIds left
+/// out, as MergeJDeweyParts leaves them).
 JDeweyList SortMerge(const std::vector<const JDeweyList*>& parts) {
   struct RowRef {
     const JDeweyList* list = nullptr;
@@ -51,15 +53,11 @@ JDeweyList SortMerge(const std::vector<const JDeweyList*>& parts) {
   JDeweyList merged;
   merged.lengths.resize(total);
   merged.scores.resize(total);
-  merged.nodes.resize(total, kInvalidNode);
   for (uint32_t i = 0; i < total; ++i) {
     const RowRef& ref = rows[i];
     uint16_t len = ref.list->lengths[ref.row];
     merged.lengths[i] = len;
     merged.scores[i] = ref.list->scores[ref.row];
-    if (ref.row < ref.list->nodes.size()) {
-      merged.nodes[i] = ref.list->nodes[ref.row];
-    }
     if (len > merged.max_length) merged.max_length = len;
     if (merged.columns.size() < len) merged.columns.resize(len);
     for (uint16_t level = 1; level <= len; ++level) {
@@ -74,7 +72,7 @@ void ExpectSameList(const JDeweyList& got, const JDeweyList& want,
   ASSERT_EQ(got.num_rows(), want.num_rows()) << ctx;
   EXPECT_EQ(got.lengths, want.lengths) << ctx;
   EXPECT_EQ(got.scores, want.scores) << ctx;
-  EXPECT_EQ(got.nodes, want.nodes) << ctx;
+  EXPECT_TRUE(got.nodes.empty()) << ctx;
   EXPECT_EQ(got.max_length, want.max_length) << ctx;
   ASSERT_EQ(got.columns.size(), want.columns.size()) << ctx;
   for (size_t l = 0; l < want.columns.size(); ++l) {
@@ -137,10 +135,10 @@ std::vector<std::vector<NodeId>> SplitNodes(size_t n, Split split) {
 }
 
 /// Checks MergeJDeweyParts against SortMerge for every term of `tree`
-/// split by `split`. Odd parts have their NodeIds dropped, as lists
-/// loaded from disk do. For the memtable split it also checks the
-/// two-step merge a version does (the sealed parts merged first, then the
-/// memtable after them).
+/// split by `split`, and each merged row's (level, value) lookup in the
+/// parts against the node of that row in a build over every node. For
+/// the memtable split it also checks the two-step merge a version does
+/// (the sealed parts merged first, then the memtable after them).
 void CheckTree(const XmlTree& tree, Split split, const std::string& label) {
   IndexBuildOptions options;
   JDeweyEncoding enc = JDeweyBuilder::Assign(tree, options.jdewey_gap);
@@ -148,34 +146,45 @@ void CheckTree(const XmlTree& tree, Split split, const std::string& label) {
       SplitNodes(tree.node_count(), split);
   std::vector<JDeweyIndex> segments;
   std::set<std::string> terms;
+  std::vector<NodeId> all;
   for (const auto& group : groups) {
     segments.push_back(BuildSegmentIndex(tree, enc, group, options));
     for (const std::string& term : segments.back().terms()) {
       terms.insert(term);
     }
+    all.insert(all.end(), group.begin(), group.end());
   }
+  const JDeweyIndex monolithic = BuildSegmentIndex(tree, enc, all, options);
+  auto node_at = [&](uint32_t level, uint32_t value) {
+    for (const JDeweyIndex& segment : segments) {
+      NodeId node = segment.NodeAt(level, value);
+      if (node != kInvalidNode) return node;
+    }
+    return kInvalidNode;
+  };
   const JDeweyList empty;
   for (const std::string& term : terms) {
     const std::string ctx = label + " " + SplitName(split) + " term=" + term;
-    std::vector<JDeweyList> copies;  // parts with their NodeIds dropped
-    copies.reserve(segments.size());
     std::vector<const JDeweyList*> parts;
-    for (size_t i = 0; i < segments.size(); ++i) {
-      const JDeweyList* list = segments[i].GetList(term);
+    for (const JDeweyIndex& segment : segments) {
+      const JDeweyList* list = segment.GetList(term);
       if (list == nullptr) {
         // An empty part still has to merge away.
         if (split == Split::kWithEmpty) parts.push_back(&empty);
         continue;
       }
-      if (i % 2 == 1) {
-        copies.push_back(*list);
-        copies.back().nodes.clear();
-        list = &copies.back();
-      }
       parts.push_back(list);
     }
     const JDeweyList want = SortMerge(parts);
-    ExpectSameList(MergeJDeweyParts(parts), want, ctx);
+    const JDeweyList got = MergeJDeweyParts(parts);
+    ExpectSameList(got, want, ctx);
+    const JDeweyList& whole = *monolithic.GetList(term);
+    ASSERT_EQ(got.num_rows(), whole.num_rows()) << ctx;
+    for (uint32_t row = 0; row < got.num_rows(); ++row) {
+      uint32_t level = got.lengths[row];
+      EXPECT_EQ(node_at(level, got.Component(row, level)), whole.nodes[row])
+          << ctx << " row " << row;
+    }
 
     if (split == Split::kMemtableAfterSealed) {
       std::vector<const JDeweyList*> sealed(parts.begin(), parts.end());

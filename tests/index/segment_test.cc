@@ -89,9 +89,14 @@ TEST(SegmentedIndexTest, MergedListsMatchMonolithicBuild) {
       ASSERT_TRUE(got.ok());
       ASSERT_NE(*got, nullptr);
       ExpectListsEqual(**got, *want, info.term);
-      // Node backfill: every merged row resolves to the same node.
+      // Merged lists carry no NodeIds; every row maps to its node through
+      // the reader's (level, value) lookup, as query results do.
+      EXPECT_TRUE((*got)->nodes.empty()) << info.term;
       for (uint32_t r = 0; r < want->num_rows(); ++r) {
-        EXPECT_EQ((*got)->nodes[r], want->nodes[r]) << info.term;
+        uint32_t level = (*got)->lengths[r];
+        EXPECT_EQ(reader.NodeAt(level, (*got)->Component(r, level)),
+                  want->nodes[r])
+            << info.term;
       }
     }
     EXPECT_EQ(reader.max_level(), monolithic.max_level());
@@ -119,7 +124,8 @@ TEST(SegmentedIndexTest, MemtableParticipatesInMergeAndFrequencies) {
                              groups[1].size());
   JDeweyIndex memtable = BuildSegmentIndex(tree, enc, groups[2], options);
   segmented.SetMemtable(
-      Memtable::Extend(nullptr, std::move(memtable), options.stats_buckets),
+      Memtable::Extend(nullptr, std::move(memtable), options.stats_buckets,
+                       *segmented.Pin()->state()),
       tree.node_count());
 
   SegmentSetReader reader(segmented.Pin());

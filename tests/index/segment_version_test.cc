@@ -297,10 +297,10 @@ TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
     SegmentedIndex reference;
     open_sealed(&reference);
     for (size_t k = 0; k < kStages; ++k) {
-      reference.SetMemtable(Memtable::Extend(nullptr,
-                                             build(sealed_end, stage_end(k)),
-                                             options.stats_buckets),
-                            n);
+      reference.SetMemtable(
+          Memtable::Extend(nullptr, build(sealed_end, stage_end(k)),
+                           options.stats_buckets, *reference.Pin()->state()),
+          n);
       for (const auto& q : queries) {
         expected[k].push_back(RunQuery(reference.Pin(), q));
       }
@@ -325,8 +325,9 @@ TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
     }
     live.SetMemtable(std::move(memtable), n);
   };
-  std::shared_ptr<const Memtable> memtable = Memtable::Extend(
-      nullptr, build(sealed_end, stage_end(0)), options.stats_buckets);
+  std::shared_ptr<const Memtable> memtable =
+      Memtable::Extend(nullptr, build(sealed_end, stage_end(0)),
+                       options.stats_buckets, *live.Pin()->state());
   publish_stage(memtable, 0);
 
   std::atomic<bool> done{false};
@@ -381,10 +382,12 @@ TEST(SegmentVersionTest, ConcurrentReadersShareOneSealedSetState) {
       }
       std::shared_ptr<const Memtable> next =
           k == 0 ? Memtable::Extend(nullptr, build(sealed_end, stage_end(0)),
-                                    options.stats_buckets)
+                                    options.stats_buckets,
+                                    *live.Pin()->state())
                  : Memtable::Extend(memtable,
                                     build(stage_end(k - 1), stage_end(k)),
-                                    options.stats_buckets);
+                                    options.stats_buckets,
+                                    *live.Pin()->state());
       if (k > 0) {
         for (const auto& term : memtable->terms()) {
           if (next->Find(term->term) == term.get()) ++shared_entries;
